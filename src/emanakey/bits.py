@@ -141,6 +141,3 @@ class LineSymbolSequence:
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def differential_levels(self) -> list[float]:
-        return [DIFFERENTIAL_LEVEL[s] for s in self.symbols]

@@ -14,6 +14,7 @@ distance to gain through a free-space 20*log10(d) falloff anchored so the
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -22,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .edges import EdgeSeries, edge_signs, edges_analytic
+from . import frames
+from .edges import EdgeSeries, edge_signs
 from .errors import UnknownPresetError
 from .frames import Frame
 from .keys import KeyId
@@ -104,7 +106,8 @@ class ChannelPreset:
     def from_dict(cls, d: dict) -> "ChannelPreset":
         d = dict(d)
         d["interferers"] = tuple(Interferer(*v) for v in d.get("interferers", ()))
-        d["glitch_amp"] = tuple(d.get("glitch_amp", (12.0, 18.0)))
+        if "glitch_amp" in d:
+            d["glitch_amp"] = tuple(d["glitch_amp"])
         return cls(**d)
 
 
@@ -162,27 +165,51 @@ def radiate(
     """
     pulse = pulse or PulseShape()
     if isinstance(source, Frame):
-        series = edges_analytic(source)
         signs = edge_signs(source)
+        bit = source.bit_time
     else:
-        series = source
-        signs = series.slots.astype(np.int8)
+        signs = source.slots.astype(np.int8)
+        bit = source.bit_width
 
-    bit = series.bit_width
-    span = len(series) * bit
-    n = int(round((span + pad_before + pad_after) * sample_rate))
+    n = int(round((signs.size * bit + pad_before + pad_after) * sample_rate))
     out = np.zeros(n, dtype=np.float64)
 
+    # One row per edge over its pulse support, clipped to the window; rows
+    # are ragged by a sample, so a mask drops each row's tail. np.add.at
+    # accumulates in edge order, the same float sums as adding pulse by pulse.
     half = pulse.support_sigmas * pulse.sigma
-    for slot in np.flatnonzero(series.slots):
-        t_edge = pad_before + slot * bit
-        lo = max(0, int(math.ceil((t_edge - half) * sample_rate)))
-        hi = min(n, int(math.floor((t_edge + half) * sample_rate)) + 1)
-        if lo >= hi:
-            continue
-        t_local = np.arange(lo, hi) / sample_rate - t_edge
-        out[lo:hi] += float(signs[slot]) * pulse.waveform(t_local)
+    slots = np.flatnonzero(signs)
+    t_edge = pad_before + slots * bit
+    lo = np.maximum(0, np.ceil((t_edge - half) * sample_rate).astype(np.int64))
+    hi = np.minimum(n, np.floor((t_edge + half) * sample_rate).astype(np.int64) + 1)
+    width = int(np.max(hi - lo, initial=0))
+    if width <= 0:
+        return out
+    idx = lo[:, None] + np.arange(width)
+    keep = idx < hi[:, None]
+    t_local = idx / sample_rate - t_edge[:, None]
+    pulses = signs[slots, None].astype(np.float64) * pulse.waveform(t_local)
+    np.add.at(out, idx[keep], pulses[keep])
     return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _clean_waveform(key: KeyId, pulse: PulseShape, sample_rate: float) -> np.ndarray:
+    frame = frames.build_keystroke_transaction(key)
+    out = radiate(frame, pulse=pulse, sample_rate=sample_rate)
+    out.flags.writeable = False
+    return out
+
+
+def clean_waveform(
+    key: KeyId, pulse: PulseShape | None = None, sample_rate: float = DEFAULT_SAMPLE_RATE
+) -> np.ndarray:
+    """The key's noiseless emanation at the default padding, built once.
+
+    It depends only on the key, the pulse and the sample rate, so every
+    trace of a key shares one read-only array; only the channel varies.
+    """
+    return _clean_waveform(key, pulse or PulseShape(), sample_rate)
 
 
 def _interference(
@@ -356,25 +383,16 @@ def synth_dataset(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     seed = preset.seed if master_seed is None else master_seed
-    clean_cache = {
-        key: radiate(_frame_for(key), pulse=pulse, sample_rate=sample_rate)
-        for key in dict.fromkeys(keys)
-    }
     traces = []
     for r in range(repeats):
         for key in keys:
             rng = np.random.default_rng([seed, key.index, r])
             trace = apply_channel(
-                clean_cache[key], preset, sample_rate, ground_truth=key, rng=rng
+                clean_waveform(key, pulse, sample_rate), preset, sample_rate,
+                ground_truth=key, rng=rng,
             )
             traces.append(replace(trace, seed=seed))
     return traces
-
-
-def _frame_for(key: KeyId) -> Frame:
-    from .frames import build_keystroke_transaction
-
-    return build_keystroke_transaction(key)
 
 
 # --- preset registry ---------------------------------------------------

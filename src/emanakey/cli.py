@@ -175,7 +175,9 @@ def cmd_sweep(args) -> int:
         )
     elif args.glitch_grid:
         counts = [int(c) for c in args.glitch_grid.split(",")]
-        report = run_glitch_sweep(counts, refs, repeats=args.repeats, cfg=cfg)
+        report = run_glitch_sweep(
+            counts, refs, repeats=args.repeats, cfg=cfg, master_seed=seed
+        )
     else:
         names = args.preset_grid.split(",")
         report = run_preset_sweep(

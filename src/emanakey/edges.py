@@ -80,32 +80,23 @@ class EdgeSeries:
         return self.origin + np.flatnonzero(self.slots) * self.bit_width
 
 
-def edges_analytic(frame: Frame, window: str = "capture") -> EdgeSeries:
-    """Slot i is 1 iff the differential line state changes at boundary i.
+def edge_signs(frame: Frame, window: str = "capture") -> np.ndarray:
+    """Sign of the differential level change at each slot boundary, 0 if none.
 
     The line idles at J before the window, so the opening SYNC transition
-    lands in slot 0.
+    lands in slot 0. J, K and SE0 sit at distinct levels, so a nonzero
+    sign marks exactly the slots where the line state changes.
     """
-    states = frame.slot_states(window)
-    prev = LineState.J
-    slots = np.zeros(len(states), dtype=np.uint8)
-    for i, s in enumerate(states):
-        slots[i] = 1 if s != prev else 0
-        prev = s
-    return EdgeSeries(slots=slots, bit_width=frame.bit_time, origin=0.0)
+    levels = [DIFFERENTIAL_LEVEL[LineState.J]]
+    levels += [DIFFERENTIAL_LEVEL[s] for s in frame.slot_states(window)]
+    return np.sign(np.diff(levels)).astype(np.int8)
 
 
-def edge_signs(frame: Frame, window: str = "capture") -> np.ndarray:
-    """Sign of the differential level change at each '1' slot, else 0."""
-    states = frame.slot_states(window)
-    prev = LineState.J
-    signs = np.zeros(len(states), dtype=np.int8)
-    for i, s in enumerate(states):
-        if s != prev:
-            delta = DIFFERENTIAL_LEVEL[s] - DIFFERENTIAL_LEVEL[prev]
-            signs[i] = 1 if delta > 0 else -1
-        prev = s
-    return signs
+def edges_analytic(frame: Frame, window: str = "capture") -> EdgeSeries:
+    """Slot i is 1 iff the differential line state changes at boundary i."""
+    return EdgeSeries(
+        slots=edge_signs(frame, window) != 0, bit_width=frame.bit_time, origin=0.0
+    )
 
 
 def simulate_probed_waveform(

@@ -14,7 +14,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channel import ChannelPreset, get_preset, inject_glitch, synth_dataset
+from .channel import (
+    ChannelPreset,
+    clean_waveform,
+    get_preset,
+    inject_glitch,
+    synth_dataset,
+)
 from .detector import DEFAULT_CONFIG, DetectorConfig, detect
 from .edges import ReferenceSet
 from .errors import NoSignalError
@@ -155,14 +161,11 @@ def run_glitch_sweep(
     ladder gains but never reaches the detector.
     """
     base = get_preset(base_preset)
-    from .channel import radiate
-    from .frames import build_keystroke_transaction
-
     signal_scale = 10.0 ** ((base.gain_db - base.shielding_db) / 20.0)
     signal_scale *= base.body_coupling_gain
     signal_peak = {
-        key: float(np.abs(radiate(build_keystroke_transaction(key),
-                                  sample_rate=sample_rate)).max()) * signal_scale
+        key: float(np.abs(clean_waveform(key, sample_rate=sample_rate)).max())
+        * signal_scale
         for key in dict.fromkeys(keys)
     }
     rows: list[SweepRow] = []
@@ -187,6 +190,7 @@ def run_glitch_sweep(
         "counts": ",".join(str(c) for c in glitch_counts),
         "repeats": repeats,
         "keys": len(keys),
+        "master_seed": master_seed if master_seed is not None else "preset",
     }
     return SweepReport(rows, config=config)
 

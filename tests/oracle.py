@@ -6,9 +6,22 @@ package's reflected shift/table implementations. Seeding with all ones is
 realized by XOR-ing the first w dividend bits; the complemented remainder
 is read off MSB-first and reversed into the package's LSB-first integer
 convention.
+
+The edge and radiation oracles are the straightforward per-slot and
+per-edge loops: walk the line states comparing each with its predecessor,
+and add one pulse at a time into the output window.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from emanakey.bits import DIFFERENTIAL_LEVEL, LineState
+from emanakey.channel import DEFAULT_PAD_S, DEFAULT_SAMPLE_RATE, PulseShape
+from emanakey.edges import EdgeSeries
+from emanakey.frames import Frame
 
 
 def _long_division(bits: list[int], poly_msb_first: list[int], width: int) -> list[int]:
@@ -68,3 +81,45 @@ def agreement_score_oracle(detected: list[int], reference: list[int]) -> float:
         det_bit = detected[i] if i < len(detected) else 0
         agree += det_bit == ref_bit
     return agree / len(reference)
+
+
+def edge_signs_oracle(frame: Frame, window: str = "capture") -> np.ndarray:
+    """Per-slot sign of the level change, walking states from idle J."""
+    states = frame.slot_states(window)
+    prev = LineState.J
+    signs = np.zeros(len(states), dtype=np.int8)
+    for i, s in enumerate(states):
+        if s != prev:
+            delta = DIFFERENTIAL_LEVEL[s] - DIFFERENTIAL_LEVEL[prev]
+            signs[i] = 1 if delta > 0 else -1
+        prev = s
+    return signs
+
+
+def radiate_oracle(
+    source: Frame | EdgeSeries,
+    pulse: PulseShape | None = None,
+    sample_rate: float = DEFAULT_SAMPLE_RATE,
+    pad_before: float = DEFAULT_PAD_S,
+    pad_after: float = DEFAULT_PAD_S,
+) -> np.ndarray:
+    """One pulse per edge, added into the window edge by edge."""
+    pulse = pulse or PulseShape()
+    if isinstance(source, Frame):
+        signs = edge_signs_oracle(source)
+        bit = source.bit_time
+    else:
+        signs = source.slots.astype(np.int8)
+        bit = source.bit_width
+    n = int(round((signs.size * bit + pad_before + pad_after) * sample_rate))
+    out = np.zeros(n, dtype=np.float64)
+    half = pulse.support_sigmas * pulse.sigma
+    for slot in np.flatnonzero(signs):
+        t_edge = pad_before + slot * bit
+        lo = max(0, int(math.ceil((t_edge - half) * sample_rate)))
+        hi = min(n, int(math.floor((t_edge + half) * sample_rate)) + 1)
+        if lo >= hi:
+            continue
+        t_local = np.arange(lo, hi) / sample_rate - t_edge
+        out[lo:hi] += float(signs[slot]) * pulse.waveform(t_local)
+    return out

@@ -17,8 +17,11 @@ from emanakey import (
     radiate,
     synth_dataset,
 )
-from emanakey.channel import KNEE_GAIN_DB
+from emanakey.channel import KNEE_GAIN_DB, clean_waveform
 from emanakey.edges import EdgeSeries
+from emanakey.keys import KEYS
+
+from oracle import radiate_oracle
 
 FS = 250e6
 
@@ -65,6 +68,36 @@ def test_radiate_bursts_align_with_reference_slots():
         else:
             empty_energy += float(np.max(seg))
     assert edge_energy / series.ones > 4 * empty_energy / (len(series) - series.ones)
+
+
+@pytest.mark.parametrize("rate", [100e6, 250e6, 500e6])
+@pytest.mark.parametrize("pad", [0.0, 1e-6])
+def test_radiate_matches_per_edge_oracle(rate, pad):
+    # pad 0 clips the first and last pulses at the window ends
+    for key in KEYS:
+        frame = build_keystroke_transaction(key)
+        got = radiate(frame, sample_rate=rate, pad_before=pad, pad_after=pad)
+        want = radiate_oracle(frame, sample_rate=rate, pad_before=pad, pad_after=pad)
+        assert np.array_equal(got, want), key.label
+
+
+def test_radiate_edge_series_matches_oracle():
+    pulse = PulseShape(center_freq=12e6, sigma=30e-9, amplitude=0.7)
+    for label in ("a", "Q", "ENTER"):
+        series = edges_analytic(build_keystroke_transaction(key_by_label(label)))
+        assert np.array_equal(
+            radiate(series, pulse=pulse, pad_before=0.2e-6),
+            radiate_oracle(series, pulse=pulse, pad_before=0.2e-6),
+        )
+
+
+def test_clean_waveform_is_built_once_and_read_only():
+    key = key_by_label("a")
+    wave = clean_waveform(key, sample_rate=FS)
+    assert clean_waveform(key, PulseShape(), FS) is wave
+    assert np.array_equal(wave, make_clean("a"))
+    with pytest.raises(ValueError):
+        wave[0] = 1.0
 
 
 def test_pulse_spectrum_centered_in_band():
@@ -273,3 +306,7 @@ def test_preset_roundtrip_via_dict():
     preset = get_preset("office-12m")
     again = ChannelPreset.from_dict(preset.to_dict())
     assert again == preset
+
+
+def test_preset_from_dict_uses_dataclass_defaults():
+    assert ChannelPreset.from_dict({"name": "bare"}) == ChannelPreset(name="bare")

@@ -173,6 +173,24 @@ def test_sweep_glitch_grid(tmp_path, capsys):
     assert acc["glitch-0"] >= acc["glitch-4"] - 0.02
 
 
+def test_sweep_glitch_grid_follows_seed(tmp_path, capsys):
+    def sweep_csv(name, seed):
+        out = tmp_path / name
+        rc, _, _ = run(
+            ["sweep", "--glitch-grid", "1", "--repeats", "1", "--seed", seed,
+             "--out", str(out)],
+            capsys,
+        )
+        assert rc == 0
+        return out
+
+    first, again = sweep_csv("a.csv", "7"), sweep_csv("b.csv", "7")
+    other = sweep_csv("c.csv", "8")
+    assert first.read_bytes() == again.read_bytes()
+    assert read_report(first).config["master_seed"] == "7"
+    assert read_report(first).rows != read_report(other).rows
+
+
 def test_bench_produces_report(tmp_path, capsys):
     out = tmp_path / "bench.json"
     rc, stdout, _ = run(["bench", "--iters", "20", "--out", str(out)], capsys)

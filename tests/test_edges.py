@@ -13,7 +13,10 @@ from emanakey import (
     simulate_probed_waveform,
     wired_pipeline_edges,
 )
-from emanakey.edges import EdgeSeries, pairwise_distance
+from emanakey.edges import EdgeSeries, edge_signs, pairwise_distance
+from emanakey.frames import PacketKind
+
+from oracle import edge_signs_oracle
 
 
 def test_sync_slot_pattern():
@@ -146,3 +149,14 @@ def test_pairwise_distance_shift_semantics():
 def test_series_validation():
     with pytest.raises(ValueError):
         EdgeSeries(slots=np.array([0, 2, 1], dtype=np.uint8), bit_width=1.0)
+
+
+@pytest.mark.parametrize("window", ["capture", "full"])
+@pytest.mark.parametrize("toggle", [PacketKind.DATA0, PacketKind.DATA1])
+def test_edge_signs_and_series_match_state_walk(window, toggle):
+    for key in KEYS:
+        frame = build_keystroke_transaction(key, data_toggle=toggle, include_sof=True)
+        want = edge_signs_oracle(frame, window)
+        got = edge_signs(frame, window)
+        assert got.dtype == np.int8 and np.array_equal(got, want), key.label
+        assert np.array_equal(edges_analytic(frame, window).slots, want != 0)
