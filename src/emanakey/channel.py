@@ -212,31 +212,48 @@ def clean_waveform(
     return _clean_waveform(key, pulse or PulseShape(), sample_rate)
 
 
+COMB_TONES = 16
+
+
+@functools.lru_cache(maxsize=16)
+def _tone_table(
+    freqs: tuple[float, ...], n: int, sample_rate: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos(2*pi*f*t) and sin(2*pi*f*t), one row per frequency."""
+    t = np.arange(n) / sample_rate
+    arg = 2 * np.pi * np.asarray(freqs, dtype=np.float64)[:, None] * t
+    cos_t, sin_t = np.cos(arg), np.sin(arg)
+    cos_t.flags.writeable = False
+    sin_t.flags.writeable = False
+    return cos_t, sin_t
+
+
 def _interference(
     interferer: Interferer, n: int, sample_rate: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Tone (bandwidth 0) or 16-tone comb across the band, random phases."""
+    """Tone (bandwidth 0) or 16-tone comb across the band, random phases.
+
+    A tone at or above the Nyquist guard draws no phase; a comb draws all
+    16 and drops the tones above the guard. Each tone is
+    cos(wt + phase) = cos(wt) cos(phase) - sin(wt) sin(phase), so a trace
+    costs one product with the interferer's cached tables.
+    """
     nyquist_guard = 0.48 * sample_rate
-    t = np.arange(n) / sample_rate
     if interferer.bandwidth_hz <= 0:
         if interferer.center_hz >= nyquist_guard:
             return np.zeros(n)
-        amp = math.sqrt(2.0 * interferer.power)
-        phase = rng.uniform(0, 2 * np.pi)
-        return amp * np.cos(2 * np.pi * interferer.center_hz * t + phase)
-    m = 16
-    freqs = np.linspace(
-        interferer.center_hz - interferer.bandwidth_hz / 2,
-        interferer.center_hz + interferer.bandwidth_hz / 2,
-        m,
-    )
-    phases = rng.uniform(0, 2 * np.pi, m)
-    amp = math.sqrt(2.0 * interferer.power / m)
-    out = np.zeros(n)
-    for f, ph in zip(freqs, phases):
-        if f < nyquist_guard:
-            out += amp * np.cos(2 * np.pi * f * t + ph)
-    return out
+        freqs = np.array([interferer.center_hz])
+    else:
+        freqs = np.linspace(
+            interferer.center_hz - interferer.bandwidth_hz / 2,
+            interferer.center_hz + interferer.bandwidth_hz / 2,
+            COMB_TONES,
+        )
+    phases = rng.uniform(0, 2 * np.pi, freqs.size)
+    amp = math.sqrt(2.0 * interferer.power / freqs.size)
+    keep = freqs < nyquist_guard
+    cos_t, sin_t = _tone_table(tuple(freqs[keep].tolist()), n, sample_rate)
+    return (amp * np.cos(phases[keep])) @ cos_t - (amp * np.sin(phases[keep])) @ sin_t
 
 
 GLITCH_BURST_SIGMA_S = 20e-9

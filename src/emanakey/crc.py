@@ -33,6 +33,15 @@ def _update5(crc: int, bits: Iterable[int]) -> int:
     return crc
 
 
+def _update16(crc: int, bits: Iterable[int]) -> int:
+    for b in bits:
+        if (crc ^ b) & 1:
+            crc = (crc >> 1) ^ _POLY16_REFLECTED
+        else:
+            crc >>= 1
+    return crc
+
+
 def crc5(bits: Sequence[int]) -> int:
     """CRC5 of exactly 11 token bits, in wire order."""
     if len(bits) != 11:
@@ -63,13 +72,7 @@ def crc16(payload: bytes) -> int:
 
 def crc16_bits(bits: Iterable[int]) -> int:
     """Bit-serial CRC16 for streams that are not whole bytes."""
-    crc = 0xFFFF
-    for b in bits:
-        if (crc ^ b) & 1:
-            crc = (crc >> 1) ^ _POLY16_REFLECTED
-        else:
-            crc >>= 1
-    return crc ^ 0xFFFF
+    return _update16(0xFFFF, bits) ^ 0xFFFF
 
 
 def crc5_residual(bits_with_crc: Sequence[int]) -> int:
@@ -79,10 +82,4 @@ def crc5_residual(bits_with_crc: Sequence[int]) -> int:
 
 def crc16_residual(bits_with_crc: Iterable[int]) -> int:
     """Register state after re-dividing payload+CRC; equals CRC16_RESIDUAL when intact."""
-    crc = 0xFFFF
-    for b in bits_with_crc:
-        if (crc ^ b) & 1:
-            crc = (crc >> 1) ^ _POLY16_REFLECTED
-        else:
-            crc >>= 1
-    return crc
+    return _update16(0xFFFF, bits_with_crc)

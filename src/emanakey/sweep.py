@@ -139,6 +139,7 @@ def run_noise_sweep(
         "gain_db": base.gain_db,
         "repeats": repeats,
         "keys": len(keys),
+        "sample_rate": sample_rate,
         "master_seed": master_seed if master_seed is not None else "preset",
     }
     return SweepReport(rows, config=config)
@@ -168,12 +169,13 @@ def run_glitch_sweep(
         * signal_scale
         for key in dict.fromkeys(keys)
     }
+    # inject_glitch copies the samples, so every count shares one dataset.
+    traces = synth_dataset(
+        list(keys), base, repeats=repeats, sample_rate=sample_rate,
+        master_seed=master_seed,
+    )
     rows: list[SweepRow] = []
     for count in glitch_counts:
-        traces = synth_dataset(
-            list(keys), base, repeats=repeats, sample_rate=sample_rate,
-            master_seed=master_seed,
-        )
         glitched = [
             inject_glitch(
                 t, count, seed=(i * 7919 + count),
@@ -190,6 +192,7 @@ def run_glitch_sweep(
         "counts": ",".join(str(c) for c in glitch_counts),
         "repeats": repeats,
         "keys": len(keys),
+        "sample_rate": sample_rate,
         "master_seed": master_seed if master_seed is not None else "preset",
     }
     return SweepReport(rows, config=config)

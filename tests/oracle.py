@@ -7,9 +7,10 @@ realized by XOR-ing the first w dividend bits; the complemented remainder
 is read off MSB-first and reversed into the package's LSB-first integer
 convention.
 
-The edge and radiation oracles are the straightforward per-slot and
-per-edge loops: walk the line states comparing each with its predecessor,
-and add one pulse at a time into the output window.
+The edge, radiation and interference oracles are the straightforward
+per-slot, per-edge and per-tone loops: walk the line states comparing each
+with its predecessor, add one pulse at a time into the output window, and
+evaluate each tone's cosine at its own phase.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ import math
 import numpy as np
 
 from emanakey.bits import DIFFERENTIAL_LEVEL, LineState
-from emanakey.channel import DEFAULT_PAD_S, DEFAULT_SAMPLE_RATE, PulseShape
+from emanakey.channel import (
+    DEFAULT_PAD_S,
+    DEFAULT_SAMPLE_RATE,
+    Interferer,
+    PulseShape,
+)
 from emanakey.edges import EdgeSeries
 from emanakey.frames import Frame
 
@@ -122,4 +128,31 @@ def radiate_oracle(
             continue
         t_local = np.arange(lo, hi) / sample_rate - t_edge
         out[lo:hi] += float(signs[slot]) * pulse.waveform(t_local)
+    return out
+
+
+def interference_oracle(
+    interferer: Interferer, n: int, sample_rate: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Tone or 16-tone comb, one cosine per tone at its drawn phase."""
+    nyquist_guard = 0.48 * sample_rate
+    t = np.arange(n) / sample_rate
+    if interferer.bandwidth_hz <= 0:
+        if interferer.center_hz >= nyquist_guard:
+            return np.zeros(n)
+        amp = math.sqrt(2.0 * interferer.power)
+        phase = rng.uniform(0, 2 * np.pi)
+        return amp * np.cos(2 * np.pi * interferer.center_hz * t + phase)
+    m = 16
+    freqs = np.linspace(
+        interferer.center_hz - interferer.bandwidth_hz / 2,
+        interferer.center_hz + interferer.bandwidth_hz / 2,
+        m,
+    )
+    phases = rng.uniform(0, 2 * np.pi, m)
+    amp = math.sqrt(2.0 * interferer.power / m)
+    out = np.zeros(n)
+    for f, ph in zip(freqs, phases):
+        if f < nyquist_guard:
+            out += amp * np.cos(2 * np.pi * f * t + ph)
     return out

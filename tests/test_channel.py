@@ -17,11 +17,12 @@ from emanakey import (
     radiate,
     synth_dataset,
 )
-from emanakey.channel import KNEE_GAIN_DB, clean_waveform
+from emanakey import channel
+from emanakey.channel import KNEE_GAIN_DB, _interference, clean_waveform
 from emanakey.edges import EdgeSeries
 from emanakey.keys import KEYS
 
-from oracle import radiate_oracle
+from oracle import interference_oracle, radiate_oracle
 
 FS = 250e6
 
@@ -228,6 +229,52 @@ def test_glitch_count_validation(identity_preset):
     trace = apply_channel(make_clean(), identity_preset, FS)
     with pytest.raises(ValueError):
         inject_glitch(trace, -1)
+
+
+def _builtin_interferers():
+    found = {}
+    for name in available_presets():
+        for interferer in get_preset(name).interferers:
+            found.setdefault(interferer, None)
+    return list(found)
+
+
+@pytest.mark.parametrize("rate", [100e6, 250e6, 500e6])
+def test_interference_matches_per_tone_oracle(rate):
+    # Angle addition moves the phase out of the cosine's argument, so the
+    # sum differs from cos(wt + phase) in its last bits: the gate is
+    # 1e-12 of the interferer's amplitude, in float64.
+    interferers = _builtin_interferers()
+    guard = 0.48 * rate
+    # A tone above the guard draws no phase; a comb draws 16 even when the
+    # guard drops all of them (every builtin comb at 100 MS/s).
+    assert any(i.bandwidth_hz <= 0 and i.center_hz >= guard for i in interferers)
+    assert any(i.bandwidth_hz > 0 for i in interferers)
+    n = clean_waveform(KEYS[0], sample_rate=rate).size
+    for interferer in interferers:
+        amp = np.sqrt(2.0 * interferer.power)
+        for seed in range(3):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _interference(interferer, n, rate, rng)
+            want = interference_oracle(interferer, n, rate, oracle_rng)
+            assert got.shape == want.shape == (n,)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * amp
+            # Same draws: the noise and glitch streams that follow are unchanged.
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", available_presets())
+def test_synth_dataset_within_one_float32_step_of_per_tone_synthesis(name, monkeypatch):
+    # The float32 gate: every sample lies within np.spacing of the trace's
+    # peak, as synthesized with the per-tone oracle in place of the tables.
+    preset = get_preset(name)
+    traces = synth_dataset(list(KEYS), preset, repeats=1, master_seed=3)
+    monkeypatch.setattr(channel, "_interference", interference_oracle)
+    per_tone = synth_dataset(list(KEYS), preset, repeats=1, master_seed=3)
+    for trace, want in zip(traces, per_tone):
+        assert trace.samples.shape == want.samples.shape
+        step = np.spacing(np.abs(want.samples).max())
+        assert np.all(np.abs(trace.samples - want.samples) <= step)
 
 
 # --- datasets ------------------------------------------------------------
