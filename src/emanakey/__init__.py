@@ -36,6 +36,7 @@ from .detector import (
     DetectorConfig,
     bandpass,
     detect,
+    detect_batch,
     form_edge_series,
     match,
     normalize,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .channel import get_preset, synth_dataset
-from .detector import DEFAULT_CONFIG, DetectorConfig, detect
+from .detector import DEFAULT_CONFIG, DetectorConfig, detect_batch
 from .edges import build_reference_set, edges_analytic, min_pairwise_distance
 from .errors import EmanakeyError, NoSignalError, TraceIOError, UnknownKeyError
 from .frames import build_keystroke_transaction
@@ -124,29 +124,13 @@ def cmd_detect(args) -> int:
     else:
         paths = [Path(args.trace)]
 
-    def run_one(path: Path):
-        trace = read_trace(path)
-        try:
-            return trace, detect(trace, refs, cfg), None
-        except NoSignalError as exc:
-            return trace, None, exc
-
-    # batch mode fans out across worker threads; printing stays in input
-    # order so output is deterministic
-    if len(paths) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
-            outcomes = list(pool.map(run_one, paths))
-    else:
-        outcomes = [run_one(paths[0])]
-
+    traces = [read_trace(path) for path in paths]
     correct = scored = 0
     rc = EXIT_OK
-    for path, (trace, result, error) in zip(paths, outcomes):
+    for path, trace, result in zip(paths, traces, detect_batch(traces, refs, cfg)):
         truth = trace.ground_truth.label if trace.ground_truth else "?"
-        if error is not None:
-            print(f"{path.name}: NO-SIGNAL ({error})")
+        if isinstance(result, NoSignalError):
+            print(f"{path.name}: NO-SIGNAL ({result})")
             rc = EXIT_NO_SIGNAL
             continue
         tie = " tie" if result.tie else ""

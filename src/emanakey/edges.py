@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import signal as sp_signal
@@ -37,6 +38,11 @@ WIRED_LOWPASS_TAPS = 41
 WIRED_PEAK_THRESHOLD = 0.35
 WIRED_RISE_TIME_S = 8e-9
 PEAK_SEPARATION_BIT_FRACTION = 2.0 / 3.0
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,12 @@ def simulate_probed_waveform(
     return np.interp(t, xp, fp).astype(np.float64)
 
 
+@lru_cache(maxsize=8)
+def _wired_lowpass(taps: int, cutoff_hz: float, sample_rate: float) -> np.ndarray:
+    """The wire pipeline's lowpass FIR, designed once per (taps, cutoff, rate)."""
+    return _read_only(sp_signal.firwin(taps, cutoff_hz, fs=sample_rate))
+
+
 def wired_pipeline_edges(
     waveform: np.ndarray,
     sample_rate: float,
@@ -162,8 +174,7 @@ def wired_pipeline_edges(
     """
     x = np.asarray(waveform, dtype=np.float64)
     # Odd-length symmetric FIR + centered convolution = group delay removed.
-    fir = sp_signal.firwin(taps, cutoff_hz, fs=sample_rate)
-    filtered = np.convolve(x, fir, mode="same")
+    filtered = np.convolve(x, _wired_lowpass(taps, cutoff_hz, sample_rate), mode="same")
     deriv = np.abs(np.gradient(filtered))
 
     robust_max = np.percentile(deriv, 99.0)
@@ -186,13 +197,15 @@ def wired_pipeline_edges(
 
 @dataclass(frozen=True)
 class ReferenceSet:
-    """The per-key reference edge series, immutable once built."""
+    """The per-key reference edge series, immutable once built.
+
+    The scoring arrays are read-only, in key order, and built on first use.
+    """
 
     entries: dict[KeyId, EdgeSeries]
     bit_rate: float
     method: str
     config_hash: str = ""
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         widths = {e.bit_width for e in self.entries.values()}
@@ -205,35 +218,46 @@ class ReferenceSet:
     def __getitem__(self, key: KeyId) -> EdgeSeries:
         return self.entries[key]
 
+    @cached_property
+    def _ordered_keys(self) -> list[KeyId]:
+        return sorted(self.entries, key=lambda k: k.index)
+
     def keys_in_order(self) -> list[KeyId]:
-        if "keys" not in self._cache:
-            self._cache["keys"] = sorted(self.entries, key=lambda k: k.index)
-        return self._cache["keys"]
+        return self._ordered_keys
 
     def max_slots(self) -> int:
         return max(len(e) for e in self.entries.values())
 
-    def padded_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(refs, lengths): slot matrix zero-padded to the longest entry."""
-        if "matrix" not in self._cache:
-            keys = self.keys_in_order()
-            width = self.max_slots()
-            mat = np.zeros((len(keys), width), dtype=np.uint8)
-            lengths = np.zeros(len(keys), dtype=np.int64)
-            for row, key in enumerate(keys):
-                series = self.entries[key]
-                mat[row, : len(series)] = series.slots
-                lengths[row] = len(series)
-            self._cache["matrix"] = (mat, lengths)
-        return self._cache["matrix"]
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """Slot count of each reference: (keys,) int64."""
+        lengths = [len(self.entries[k]) for k in self.keys_in_order()]
+        return _read_only(np.array(lengths, dtype=np.int64))
 
-    def scoring_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(bool matrix, lengths, in-range mask) for vectorized matching."""
-        if "scoring" not in self._cache:
-            mat, lengths = self.padded_matrix()
-            in_range = np.arange(mat.shape[1])[None, :] < lengths[:, None]
-            self._cache["scoring"] = (mat.astype(bool), lengths, in_range)
-        return self._cache["scoring"]
+    @cached_property
+    def slot_matrix(self) -> np.ndarray:
+        """Reference slots zero-padded to the longest entry: (keys, max_slots) uint8."""
+        mat = np.zeros((len(self), self.max_slots()), dtype=np.uint8)
+        for row, key in enumerate(self.keys_in_order()):
+            mat[row, : self.lengths[row]] = self.entries[key].slots
+        return _read_only(mat)
+
+    @cached_property
+    def edge_counts(self) -> np.ndarray:
+        """Ones in each reference: (keys,) float64."""
+        return _read_only(self.slot_matrix.sum(axis=1).astype(np.float64))
+
+    @cached_property
+    def mismatch_weights(self) -> np.ndarray:
+        """(max_slots, keys) float64: in-range mask minus twice the slots.
+
+        For a 0/1 row g, ``g @ mismatch_weights + edge_counts`` counts the
+        slots where g and each reference disagree within that reference's
+        length.
+        """
+        width = self.slot_matrix.shape[1]
+        in_range = np.arange(width)[None, :] < self.lengths[:, None]
+        return _read_only((in_range - 2.0 * self.slot_matrix).T.copy())
 
 
 def _config_hash(params: dict) -> str:

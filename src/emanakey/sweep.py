@@ -7,9 +7,7 @@ detections (no-signal) count as incorrect with zero score and margin.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +19,7 @@ from .channel import (
     inject_glitch,
     synth_dataset,
 )
-from .detector import DEFAULT_CONFIG, DetectorConfig, detect
+from .detector import DEFAULT_CONFIG, DetectorConfig, detect, detect_batch
 from .edges import ReferenceSet
 from .errors import NoSignalError
 from .keys import KEYS, KeyId
@@ -29,32 +27,16 @@ from .traceio import SweepReport, SweepRow
 
 
 def _evaluate(
-    traces, refs: ReferenceSet, cfg: DetectorConfig, workers: int | None = None
+    traces, refs: ReferenceSet, cfg: DetectorConfig
 ) -> dict[KeyId, list[tuple[bool, float, float]]]:
-    """Detect every trace, fanning out across worker threads.
-
-    The reference set is read-only shared state; executor.map preserves
-    input order, so aggregation is deterministic regardless of scheduling.
-    """
-
-    def one(trace):
-        try:
-            result = detect(trace, refs, cfg)
-            return (result.key == trace.ground_truth, result.score, result.margin)
-        except NoSignalError:
-            return (False, 0.0, 0.0)
-
-    workers = workers or min(4, os.cpu_count() or 1)
+    """Detect every trace in one batch; records keep the traces' order."""
     outcomes: dict[KeyId, list[tuple[bool, float, float]]] = {}
-    if workers <= 1:
-        records = map(one, traces)
-    else:
-        executor = ThreadPoolExecutor(max_workers=workers)
-        records = executor.map(one, traces)
-    for trace, record in zip(traces, records):
+    for trace, result in zip(traces, detect_batch(traces, refs, cfg)):
+        if isinstance(result, NoSignalError):
+            record = (False, 0.0, 0.0)
+        else:
+            record = (result.key == trace.ground_truth, result.score, result.margin)
         outcomes.setdefault(trace.ground_truth, []).append(record)
-    if workers > 1:
-        executor.shutdown()
     return outcomes
 
 

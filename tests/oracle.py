@@ -11,6 +11,10 @@ The edge, radiation and interference oracles are the straightforward
 per-slot, per-edge and per-tone loops: walk the line states comparing each
 with its predecessor, add one pulse at a time into the output window, and
 evaluate each tone's cosine at its own phase.
+
+The detection oracle is the single-trace detector: its own fused
+bandpass-envelope, one percentile, one find_peaks, and every anchor grid
+scored against every reference through a 3-D elementwise `!=` tensor.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import signal as sp_signal
+from scipy.fft import next_fast_len
 
 from emanakey.bits import DIFFERENTIAL_LEVEL, LineState
 from emanakey.channel import (
@@ -26,7 +32,9 @@ from emanakey.channel import (
     Interferer,
     PulseShape,
 )
-from emanakey.edges import EdgeSeries
+from emanakey.detector import DEFAULT_CONFIG, DetectionResult, _bandpass_taps
+from emanakey.edges import EdgeSeries, ReferenceSet
+from emanakey.errors import NoSignalError
 from emanakey.frames import Frame
 
 
@@ -156,3 +164,88 @@ def interference_oracle(
         if f < nyquist_guard:
             out += amp * np.cos(2 * np.pi * f * t + ph)
     return out
+
+
+def _band_envelope_oracle(x: np.ndarray, sample_rate: float, cfg) -> np.ndarray:
+    taps = _bandpass_taps(sample_rate, cfg.band_low, cfg.band_high, cfg.filter_taps)
+    n = x.size
+    nfft = next_fast_len(n + taps.size - 1)
+    spec = np.fft.rfft(x, nfft) * np.fft.rfft(taps, nfft)
+    full = np.zeros(nfft, dtype=np.complex128)
+    full[0] = spec[0]
+    half = nfft // 2
+    full[1:half] = 2.0 * spec[1:half]
+    full[half] = spec[half] if nfft % 2 == 0 else 2.0 * spec[half]
+    analytic = np.fft.ifft(full)
+    start = (taps.size - 1) // 2
+    return np.abs(analytic[start : start + n])
+
+
+def detect_oracle(trace, refs: ReferenceSet, cfg=DEFAULT_CONFIG) -> DetectionResult:
+    """One trace: envelope, normalize, floor+peaks, every grid vs every key."""
+    x = np.asarray(trace.samples, dtype=np.float64)
+    envelope = _band_envelope_oracle(x, trace.sample_rate, cfg)
+    s_max = np.percentile(np.abs(envelope), 100.0 * (1.0 - cfg.skip_fraction))
+    if s_max <= 0.0:
+        raise NoSignalError("all-zero trace cannot be normalized")
+    a = cfg.amplitude
+    normalized = np.clip(envelope * (a / s_max), -a, a)
+    y = np.abs(normalized)
+    y[y < cfg.floor] = 0.0
+    min_sep = max(
+        1, int(round(cfg.min_peak_separation * cfg.bit_width * trace.sample_rate))
+    )
+    peaks, _ = sp_signal.find_peaks(y, height=cfg.floor, distance=min_sep)
+    if peaks.size == 0:
+        raise NoSignalError("no peaks above the amplitude floor")
+    peak_times = peaks / trace.sample_rate
+    if peak_times.size < cfg.min_peaks:
+        raise NoSignalError(
+            f"only {peak_times.size} peaks detected (< {cfg.min_peaks}); "
+            "trace carries no usable signal"
+        )
+
+    keys = sorted(refs.entries, key=lambda k: k.index)
+    lengths = np.array([len(refs[k]) for k in keys])
+    width = int(lengths.max())
+    ref_bool = np.zeros((len(keys), width), dtype=bool)
+    for row, key in enumerate(keys):
+        ref_bool[row, : lengths[row]] = refs[key].slots.astype(bool)
+    in_range = np.arange(width)[None, :] < lengths[:, None]
+    bit = 1.0 / refs.bit_rate
+
+    n_anchors = min(cfg.anchor_candidates, peak_times.size)
+    offsets_1d = np.arange(-cfg.offset_search, cfg.offset_search + 1)
+    anchors = np.repeat(peak_times[:n_anchors], offsets_1d.size)
+    anchor_slots = np.tile(offsets_1d, n_anchors)
+    pos = (peak_times[None, :] - anchors[:, None]) / bit
+    pos = pos + anchor_slots[:, None]
+    idx = np.rint(pos).astype(np.int64)
+    ok = (np.abs(pos - idx) <= cfg.proximity_window) & (idx >= 0) & (idx < width)
+    grid_slots = np.zeros((anchors.size, width), dtype=bool)
+    rows = np.broadcast_to(np.arange(anchors.size)[:, None], idx.shape)
+    grid_slots[rows[ok], idx[ok]] = True
+
+    mism = (grid_slots[:, None, :] != ref_bool[None, :, :]) & in_range[None, :, :]
+    scores = 1.0 - mism.sum(axis=2) / lengths[None, :]
+    best_grid = np.argmax(scores, axis=0)
+    best_per_key = scores[best_grid, np.arange(len(keys))]
+    best_offsets = anchor_slots[best_grid]
+
+    order = np.argsort(-best_per_key, kind="stable")
+    winner, runner = int(order[0]), int(order[1])
+    g = int(best_grid[winner])
+    detected = EdgeSeries(
+        slots=grid_slots[g, : lengths[winner]].astype(np.uint8),
+        bit_width=bit,
+        origin=float(anchors[g]) - int(anchor_slots[g]) * bit,
+    )
+    return DetectionResult(
+        key=keys[winner],
+        score=float(best_per_key[winner]),
+        runner_up=keys[runner],
+        runner_up_score=float(best_per_key[runner]),
+        detected_edges=detected,
+        alignment_offset=int(best_offsets[winner]),
+        tie=bool(best_per_key[winner] == best_per_key[runner]),
+    )

@@ -199,3 +199,39 @@ def test_bench_produces_report(tmp_path, capsys):
     stats = json.loads(out.read_text())
     assert stats["iterations"] == 20
     assert stats["mean_ms"] > 0
+
+
+def test_detect_dir_equals_per_file_detect(tmp_path, capsys, monkeypatch):
+    import emanakey
+    from emanakey import cli
+
+    traces = tmp_path / "traces"
+    rc, _, _ = run(
+        ["synth", "--keys", "a,Q,ENTER,5", "--preset", "open-space-3m",
+         "--repeats", "2", "--seed", "31", "--out-dir", str(traces)],
+        capsys,
+    )
+    assert rc == 0
+    quiet = emanakey.EmanationTrace(
+        samples=np.zeros(3000, dtype=np.float32), sample_rate=250e6
+    )
+    emanakey.write_trace(quiet, traces / "001_quiet.emtr")  # between good files
+    files = sorted(traces.glob("*.emtr"))
+
+    per_file = [run(["detect", "--trace", str(f)], capsys) for f in files]
+    batches = []
+    detect_batch = cli.detect_batch
+
+    def recording_detect_batch(batch, *args):
+        batches.append(len(batch))
+        return detect_batch(batch, *args)
+
+    monkeypatch.setattr(cli, "detect_batch", recording_detect_batch)
+    rc, stdout, _ = run(["detect", "--trace-dir", str(traces)], capsys)
+
+    assert batches == [len(files)]
+    lines = stdout.splitlines()
+    assert lines[:-1] == [out.strip() for _, out, _ in per_file]
+    assert lines[-1].startswith("summary: ")
+    assert "001_quiet.emtr: NO-SIGNAL" in stdout
+    assert rc == max(code for code, _, _ in per_file) == 4

@@ -10,19 +10,28 @@ from emanakey import (
     bandpass,
     build_keystroke_transaction,
     detect,
+    detect_batch,
     form_edge_series,
+    available_presets,
     get_preset,
+    inject_glitch,
     key_by_label,
     match,
     normalize,
     radiate,
     threshold_and_peaks,
 )
-from emanakey.channel import EmanationTrace
-from emanakey.detector import DEFAULT_CONFIG, amplitude_envelope, _band_envelope
+from emanakey.channel import EmanationTrace, synth_dataset
+from emanakey.detector import (
+    _CHUNK_ROWS,
+    DEFAULT_CONFIG,
+    _band_envelope,
+    amplitude_envelope,
+)
 from emanakey.edges import EdgeSeries
+from emanakey.keys import KEYS
 
-from oracle import agreement_score_oracle
+from oracle import agreement_score_oracle, detect_oracle
 
 FS = 250e6
 CFG = DEFAULT_CONFIG
@@ -390,3 +399,96 @@ def test_accuracy_monotone_in_noise(refs):
         accs.append(good / total)
     for lo, hi in zip(accs[1:], accs[:-1]):
         assert lo <= hi + 0.02, f"accuracy rose with noise: {accs}"
+
+
+# --- detect_batch -----------------------------------------------------------
+
+
+def _oracle_outcome(trace, refs):
+    try:
+        return detect_oracle(trace, refs)
+    except NoSignalError as exc:
+        return ("no-signal", str(exc))
+
+
+def _outcome(result):
+    if isinstance(result, NoSignalError):
+        return ("no-signal", str(result))
+    return result
+
+
+def test_detect_batch_equals_single_trace_oracle(refs):
+    keys = list(KEYS[::2])
+    traces = []
+    for i, name in enumerate(available_presets()):
+        traces += synth_dataset(keys, get_preset(name), repeats=1, master_seed=300 + i)
+    base = synth_dataset(keys, get_preset("open-space-3m"), repeats=1, master_seed=310)
+    for count in (1, 2, 4, 8):
+        traces += [
+            inject_glitch(t, count, seed=i * 7919 + count) for i, t in enumerate(base)
+        ]
+    # A degenerate row and a noise-only row sit between good rows; noise
+    # alone still comes back as some key, so only row 40 must be no-signal.
+    traces.insert(40, EmanationTrace(samples=np.zeros(3021), sample_rate=FS))
+    noise = np.random.default_rng(5).normal(scale=1e-3, size=3000)
+    traces.insert(90, EmanationTrace(samples=noise, sample_rate=FS))
+
+    lengths = [t.samples.size for t in traces]
+    assert set(lengths) == {3000, 3021}
+    assert max(lengths.count(n) for n in set(lengths)) > _CHUNK_ROWS
+
+    expected = [_oracle_outcome(t, refs) for t in traces]
+    got = [_outcome(r) for r in detect_batch(traces, refs)]
+    assert len(got) == len(traces)
+    for i, (want, have) in enumerate(zip(expected, got)):
+        # DetectionResult equality covers key, score, runner-up, its score,
+        # offset, tie, and the detected slots and origin.
+        assert have == want, f"row {i}: {have} != {want}"
+    no_signal = [i for i, want in enumerate(expected) if isinstance(want, tuple)]
+    assert 40 in no_signal
+    assert len(no_signal) < len(traces) // 2
+
+    # B = 1: detect raises on the same rows and returns the same results.
+    for trace, want in zip(traces[30:100], expected[30:100]):
+        try:
+            have = detect(trace, refs)
+        except NoSignalError as exc:
+            have = ("no-signal", str(exc))
+        assert have == want
+
+
+def test_detect_batch_empty(refs):
+    assert detect_batch([], refs) == []
+
+
+@pytest.mark.parametrize("offset_search", [0, 2])
+def test_detect_batch_row_with_fewer_peaks_than_anchors(refs, offset_search):
+    # min_peaks=1 lets a two-peak row through: its missing third anchor
+    # must add no grid, while the full rows in its chunk keep theirs. The
+    # references gain three leading empty slots, so that with
+    # offset_search 0 every real grid of that row (one peak on slot 0, the
+    # other out of range) scores below an empty one.
+    from emanakey.channel import _glitch_burst
+    from emanakey.edges import ReferenceSet
+
+    cfg = DetectorConfig(min_peaks=1, offset_search=offset_search)
+    padded = ReferenceSet(
+        entries={
+            key: EdgeSeries(slots=np.r_[0, 0, 0, s.slots], bit_width=s.bit_width)
+            for key, s in refs.entries.items()
+        },
+        bit_rate=refs.bit_rate,
+        method=refs.method,
+    )
+    samples = np.zeros(3000)
+    burst = _glitch_burst(1.0, FS)
+    for i in (60, 2880):  # more slots apart than any reference is long
+        samples[i : i + burst.size] += burst
+    sparse = EmanationTrace(samples=samples, sample_rate=FS)
+    traces = [identity_trace("a"), sparse, identity_trace("Q")]
+    traces += synth_dataset(
+        list(KEYS[:6]), get_preset("open-space-3.8m"), repeats=1, master_seed=77
+    )
+    got = detect_batch(traces, padded, cfg)
+    assert got == [detect_oracle(t, padded, cfg) for t in traces]
+    assert got[1].detected_edges.ones <= 2

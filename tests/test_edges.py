@@ -160,3 +160,45 @@ def test_edge_signs_and_series_match_state_walk(window, toggle):
         got = edge_signs(frame, window)
         assert got.dtype == np.int8 and np.array_equal(got, want), key.label
         assert np.array_equal(edges_analytic(frame, window).slots, want != 0)
+
+
+def test_pipeline_lowpass_designed_once(monkeypatch):
+    from emanakey import edges
+
+    calls = []
+    firwin = edges.sp_signal.firwin
+
+    def counting_firwin(*args, **kwargs):
+        calls.append(args)
+        return firwin(*args, **kwargs)
+
+    edges._wired_lowpass.cache_clear()
+    monkeypatch.setattr(edges.sp_signal, "firwin", counting_firwin)
+    first = build_reference_set("pipeline")
+    second = build_reference_set("pipeline")
+    edges._wired_lowpass.cache_clear()
+    assert len(calls) == 1
+    assert first.entries == second.entries
+
+
+def test_reference_scoring_arrays_are_cached_and_read_only(refs):
+    keys = refs.keys_in_order()
+    assert refs.slot_matrix is refs.slot_matrix
+    arrays = (refs.lengths, refs.slot_matrix, refs.edge_counts, refs.mismatch_weights)
+    assert not any(array.flags.writeable for array in arrays)
+    assert refs.slot_matrix.shape == (len(keys), refs.max_slots())
+    for row, key in enumerate(keys):
+        series = refs[key]
+        assert refs.lengths[row] == len(series)
+        assert np.array_equal(refs.slot_matrix[row, : len(series)], series.slots)
+        assert not refs.slot_matrix[row, len(series) :].any()
+        assert refs.edge_counts[row] == series.ones
+    # A 0/1 row times the weights plus the edge counts is the mismatch count
+    # within each reference's length.
+    rng = np.random.default_rng(4)
+    row = rng.integers(0, 2, refs.max_slots())
+    mismatches = row @ refs.mismatch_weights + refs.edge_counts
+    expected = [
+        np.count_nonzero(row[: len(refs[k])] != refs[k].slots) for k in keys
+    ]
+    assert np.array_equal(mismatches, expected)
