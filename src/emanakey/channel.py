@@ -25,7 +25,7 @@ import numpy as np
 
 from . import frames
 from .edges import EdgeSeries, edge_signs
-from .errors import UnknownPresetError
+from .errors import FileFormatError, UnknownPresetError
 from .frames import Frame
 from .keys import KeyId
 
@@ -95,6 +95,12 @@ class ChannelPreset:
             raise ValueError("shielding_db must lie in [0, 30]")
         if self.glitch_rate < 0:
             raise ValueError("glitch_rate must be >= 0")
+
+    @property
+    def signal_scale(self) -> float:
+        """Linear gain on the clean waveform, shielding and body coupling included."""
+        gain_db = self.gain_db - self.shielding_db
+        return 10.0 ** (gain_db / 20.0) * self.body_coupling_gain
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -313,14 +319,11 @@ def apply_channel(
 ) -> EmanationTrace:
     """Deterministic channel given (preset, seed).
 
-    trace = clean * 10^((gain_db - shielding_db)/20) * body_coupling_gain
-            + white noise + interferers + glitches
+    trace = clean * preset.signal_scale + white noise + interferers + glitches
     """
     if rng is None:
         rng = np.random.default_rng(preset.seed)
-    scale = 10.0 ** ((preset.gain_db - preset.shielding_db) / 20.0)
-    scale *= preset.body_coupling_gain
-    signal = np.asarray(clean, dtype=np.float64) * scale
+    signal = np.asarray(clean, dtype=np.float64) * preset.signal_scale
     signal_peak = float(np.max(np.abs(signal), initial=0.0))
     out = signal
     n = out.size
@@ -416,8 +419,15 @@ def synth_dataset(
 
 
 def load_preset(path: str | Path) -> ChannelPreset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ChannelPreset.from_dict(json.load(fh))
+    """Parse a preset file; a file that is no valid preset raises FileFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        return ChannelPreset.from_dict(doc)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: not a channel preset: {exc}") from exc
 
 
 def _builtin_preset_dir():
@@ -436,7 +446,7 @@ def get_preset(name: str) -> ChannelPreset:
     """Builtin preset by name, or any preset file by path."""
     candidate = _builtin_preset_dir().joinpath(f"{name}.json")
     if candidate.is_file():
-        return ChannelPreset.from_dict(json.loads(candidate.read_text()))
+        return load_preset(candidate)
     if Path(name).is_file():
         return load_preset(name)
     raise UnknownPresetError(

@@ -21,7 +21,7 @@ from . import __version__
 from .channel import get_preset, synth_dataset
 from .detector import DEFAULT_CONFIG, DetectorConfig, detect_batch
 from .edges import build_reference_set, edges_analytic, min_pairwise_distance
-from .errors import EmanakeyError, NoSignalError, TraceIOError, UnknownKeyError
+from .errors import EmanakeyError, NoSignalError
 from .frames import build_keystroke_transaction
 from .keys import KEYS, hid_report_for_key, key_by_label
 from .sweep import bench_detect, run_glitch_sweep, run_noise_sweep, run_preset_sweep
@@ -62,6 +62,33 @@ def _parse_keys(spec: str):
     if spec == "all":
         return list(KEYS)
     return [key_by_label(label) for label in spec.split(",")]
+
+
+def _noise_grid(spec: str) -> list[float]:
+    """'lo:hi:n': n geometric steps from lo to hi, every density finite and > 0."""
+    try:
+        lo, hi, n = spec.split(":")
+        densities = list(np.geomspace(float(lo), float(hi), int(n)))
+        if not densities or not all(0 < d < np.inf for d in densities):
+            raise ValueError(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected lo:hi:n with positive lo and hi and n >= 1, got {spec!r}"
+        ) from None
+    return densities
+
+
+def _glitch_grid(spec: str) -> list[int]:
+    """Comma-separated glitch counts, each >= 0."""
+    try:
+        counts = [int(c) for c in spec.split(",")]
+        if min(counts) < 0:
+            raise ValueError(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated counts >= 0, got {spec!r}"
+        ) from None
+    return counts
 
 
 def cmd_gen_refs(args) -> int:
@@ -152,20 +179,16 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     seed = _master_seed(args.seed)
     if args.noise_grid:
-        lo, hi, n = args.noise_grid.split(":")
-        densities = list(np.geomspace(float(lo), float(hi), int(n)))
         report = run_noise_sweep(
-            densities, refs, repeats=args.repeats, cfg=cfg, master_seed=seed
+            args.noise_grid, refs, repeats=args.repeats, cfg=cfg, master_seed=seed
         )
     elif args.glitch_grid:
-        counts = [int(c) for c in args.glitch_grid.split(",")]
         report = run_glitch_sweep(
-            counts, refs, repeats=args.repeats, cfg=cfg, master_seed=seed
+            args.glitch_grid, refs, repeats=args.repeats, cfg=cfg, master_seed=seed
         )
     else:
-        names = args.preset_grid.split(",")
         report = run_preset_sweep(
-            names, refs, repeats=args.repeats, cfg=cfg, master_seed=seed
+            args.preset_grid, refs, repeats=args.repeats, cfg=cfg, master_seed=seed
         )
     out = Path(args.out)
     _atomic_write(out, lambda tmp: write_report(report, tmp, fmt=args.format))
@@ -262,9 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="accuracy sweeps over presets/noise/glitches")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset-grid", help="comma-separated preset names")
-    group.add_argument("--noise-grid", help="lo:hi:n geometric noise-density grid")
-    group.add_argument("--glitch-grid", help="comma-separated glitch counts")
+    group.add_argument("--preset-grid", type=lambda spec: spec.split(","),
+                       help="comma-separated preset names")
+    group.add_argument("--noise-grid", type=_noise_grid,
+                       help="lo:hi:n geometric noise-density grid")
+    group.add_argument("--glitch-grid", type=_glitch_grid,
+                       help="comma-separated glitch counts")
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--refs", default=None)
     p.add_argument("--config", default=None)
@@ -294,16 +320,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnknownKeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (TraceIOError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except NoSignalError as exc:
         print(f"no signal: {exc}", file=sys.stderr)
         return EXIT_NO_SIGNAL
-    except EmanakeyError as exc:
+    except (EmanakeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

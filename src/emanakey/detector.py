@@ -33,7 +33,12 @@ from scipy.fft import next_fast_len
 
 from .channel import EmanationTrace
 from .edges import EdgeSeries, ReferenceSet
-from .errors import DegenerateTraceError, NoSignalError, SampleRateError
+from .errors import (
+    DegenerateTraceError,
+    FileFormatError,
+    NoSignalError,
+    SampleRateError,
+)
 from .keys import KeyId
 
 
@@ -71,40 +76,38 @@ class DetectorConfig:
         return 1.0 / self.bit_rate
 
     def to_file(self, path: str | Path) -> None:
-        doc = {
-            "band_low_hz": self.band_low,
-            "band_high_hz": self.band_high,
-            "amplitude_v": self.amplitude,
-            "skip_fraction": self.skip_fraction,
-            "zero_floor_v": self.zero_floor,
-            "min_peak_separation_bits": self.min_peak_separation,
-            "proximity_window_bits": self.proximity_window,
-            "offset_search_slots": self.offset_search,
-            "anchor_candidates": self.anchor_candidates,
-            "bit_rate_bps": self.bit_rate,
-            "filter_taps": self.filter_taps,
-            "min_peaks": self.min_peaks,
-        }
+        doc = {key: getattr(self, name) for name, key in _FILE_KEYS}
         Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DetectorConfig":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            band_low=doc["band_low_hz"],
-            band_high=doc["band_high_hz"],
-            amplitude=doc["amplitude_v"],
-            skip_fraction=doc["skip_fraction"],
-            zero_floor=doc.get("zero_floor_v"),
-            min_peak_separation=doc["min_peak_separation_bits"],
-            proximity_window=doc["proximity_window_bits"],
-            offset_search=doc["offset_search_slots"],
-            anchor_candidates=doc.get("anchor_candidates", 3),
-            bit_rate=doc["bit_rate_bps"],
-            filter_taps=doc["filter_taps"],
-            min_peaks=doc.get("min_peaks", 10),
-        )
+        """A missing key takes the default; a file that is no valid config
+        raises FileFormatError."""
+        field_of = {key: name for name, key in _FILE_KEYS}
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(doc, dict) or not doc.keys() <= field_of.keys():
+                raise ValueError(f"expected an object keyed by {sorted(field_of)}")
+            return cls(**{field_of[key]: value for key, value in doc.items()})
+        except (TypeError, ValueError) as exc:
+            raise FileFormatError(f"{path}: not a detector config: {exc}") from exc
 
+
+# (field, key in the config file), in file order.
+_FILE_KEYS = (
+    ("band_low", "band_low_hz"),
+    ("band_high", "band_high_hz"),
+    ("amplitude", "amplitude_v"),
+    ("skip_fraction", "skip_fraction"),
+    ("zero_floor", "zero_floor_v"),
+    ("min_peak_separation", "min_peak_separation_bits"),
+    ("proximity_window", "proximity_window_bits"),
+    ("offset_search", "offset_search_slots"),
+    ("anchor_candidates", "anchor_candidates"),
+    ("bit_rate", "bit_rate_bps"),
+    ("filter_taps", "filter_taps"),
+    ("min_peaks", "min_peaks"),
+)
 
 DEFAULT_CONFIG = DetectorConfig()
 

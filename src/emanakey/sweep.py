@@ -26,10 +26,10 @@ from .keys import KEYS, KeyId
 from .traceio import SweepReport, SweepRow
 
 
-def _evaluate(
-    traces, refs: ReferenceSet, cfg: DetectorConfig
-) -> dict[KeyId, list[tuple[bool, float, float]]]:
-    """Detect every trace in one batch; records keep the traces' order."""
+def _rows(
+    label: str, preset: ChannelPreset, traces, refs: ReferenceSet, cfg: DetectorConfig
+) -> list[SweepRow]:
+    """Detect every trace in one batch; one row per key, in key order."""
     outcomes: dict[KeyId, list[tuple[bool, float, float]]] = {}
     for trace, result in zip(traces, detect_batch(traces, refs, cfg)):
         if isinstance(result, NoSignalError):
@@ -37,30 +37,51 @@ def _evaluate(
         else:
             record = (result.key == trace.ground_truth, result.score, result.margin)
         outcomes.setdefault(trace.ground_truth, []).append(record)
-    return outcomes
-
-
-def _rows_for(
-    preset: ChannelPreset,
-    outcomes: dict[KeyId, list[tuple[bool, float, float]]],
-    label: str | None = None,
-) -> list[SweepRow]:
-    rows = []
-    for key in sorted(outcomes, key=lambda k: k.index):
-        records = outcomes[key]
-        rows.append(
-            SweepRow(
-                preset=label or preset.name,
-                gain_db=preset.gain_db,
-                noise_density=preset.noise_density,
-                key=key.label,
-                repeats=len(records),
-                correct=sum(1 for ok, _, _ in records if ok),
-                mean_score=float(np.mean([s for _, s, _ in records])),
-                mean_margin=float(np.mean([m for _, _, m in records])),
-            )
+    return [
+        SweepRow(
+            preset=label,
+            gain_db=preset.gain_db,
+            noise_density=preset.noise_density,
+            key=key.label,
+            repeats=len(records),
+            correct=sum(1 for ok, _, _ in records if ok),
+            mean_score=float(np.mean([s for _, s, _ in records])),
+            mean_margin=float(np.mean([m for _, _, m in records])),
         )
-    return rows
+        for key, records in sorted(outcomes.items(), key=lambda kv: kv[0].index)
+    ]
+
+
+def _report(
+    kind: str, own: dict, rows: list[SweepRow], repeats: int, keys,
+    sample_rate: float, master_seed: int | None,
+) -> SweepReport:
+    """The config keys every sweep writes, around the kind's own keys."""
+    config = {
+        "sweep": kind,
+        **own,
+        "repeats": repeats,
+        "keys": len(keys),
+        "sample_rate": sample_rate,
+        "master_seed": master_seed if master_seed is not None else "preset",
+    }
+    return SweepReport(rows, config=config)
+
+
+def _preset_report(
+    kind: str, own: dict, presets: list[ChannelPreset], refs: ReferenceSet,
+    repeats: int, cfg: DetectorConfig, keys, sample_rate: float,
+    master_seed: int | None,
+) -> SweepReport:
+    """Synthesize and detect one dataset per preset."""
+    rows: list[SweepRow] = []
+    for preset in presets:
+        traces = synth_dataset(
+            list(keys), preset, repeats=repeats, sample_rate=sample_rate,
+            master_seed=master_seed,
+        )
+        rows.extend(_rows(preset.name, preset, traces, refs, cfg))
+    return _report(kind, own, rows, repeats, keys, sample_rate, master_seed)
 
 
 def run_preset_sweep(
@@ -73,23 +94,11 @@ def run_preset_sweep(
     master_seed: int | None = None,
 ) -> SweepReport:
     """Accuracy over a ladder of named presets (or preset file paths)."""
-    rows: list[SweepRow] = []
-    for name in preset_names:
-        preset = get_preset(name)
-        traces = synth_dataset(
-            list(keys), preset, repeats=repeats, sample_rate=sample_rate,
-            master_seed=master_seed,
-        )
-        rows.extend(_rows_for(preset, _evaluate(traces, refs, cfg)))
-    config = {
-        "sweep": "preset",
-        "presets": ",".join(preset_names),
-        "repeats": repeats,
-        "keys": len(keys),
-        "sample_rate": sample_rate,
-        "master_seed": master_seed if master_seed is not None else "preset",
-    }
-    return SweepReport(rows, config=config)
+    presets = [get_preset(name) for name in preset_names]
+    return _preset_report(
+        "preset", {"presets": ",".join(preset_names)},
+        presets, refs, repeats, cfg, keys, sample_rate, master_seed,
+    )
 
 
 def run_noise_sweep(
@@ -107,24 +116,14 @@ def run_noise_sweep(
     base = get_preset(base_preset)
     if gain_db is not None:
         base = replace(base, gain_db=gain_db)
-    rows: list[SweepRow] = []
-    for density in noise_densities:
-        preset = replace(base, noise_density=density, name=f"noise-{density:.3g}")
-        traces = synth_dataset(
-            list(keys), preset, repeats=repeats, sample_rate=sample_rate,
-            master_seed=master_seed,
-        )
-        rows.extend(_rows_for(preset, _evaluate(traces, refs, cfg)))
-    config = {
-        "sweep": "noise",
-        "base_preset": base_preset,
-        "gain_db": base.gain_db,
-        "repeats": repeats,
-        "keys": len(keys),
-        "sample_rate": sample_rate,
-        "master_seed": master_seed if master_seed is not None else "preset",
-    }
-    return SweepReport(rows, config=config)
+    presets = [
+        replace(base, noise_density=density, name=f"noise-{density:.3g}")
+        for density in noise_densities
+    ]
+    return _preset_report(
+        "noise", {"base_preset": base_preset, "gain_db": base.gain_db},
+        presets, refs, repeats, cfg, keys, sample_rate, master_seed,
+    )
 
 
 def run_glitch_sweep(
@@ -144,11 +143,9 @@ def run_glitch_sweep(
     ladder gains but never reaches the detector.
     """
     base = get_preset(base_preset)
-    signal_scale = 10.0 ** ((base.gain_db - base.shielding_db) / 20.0)
-    signal_scale *= base.body_coupling_gain
     signal_peak = {
         key: float(np.abs(clean_waveform(key, sample_rate=sample_rate)).max())
-        * signal_scale
+        * base.signal_scale
         for key in dict.fromkeys(keys)
     }
     # inject_glitch copies the samples, so every count shares one dataset.
@@ -165,19 +162,12 @@ def run_glitch_sweep(
             )
             for i, t in enumerate(traces)
         ]
-        rows.extend(
-            _rows_for(base, _evaluate(glitched, refs, cfg), label=f"glitch-{count}")
-        )
-    config = {
-        "sweep": "glitch",
+        rows.extend(_rows(f"glitch-{count}", base, glitched, refs, cfg))
+    own = {
         "base_preset": base_preset,
         "counts": ",".join(str(c) for c in glitch_counts),
-        "repeats": repeats,
-        "keys": len(keys),
-        "sample_rate": sample_rate,
-        "master_seed": master_seed if master_seed is not None else "preset",
     }
-    return SweepReport(rows, config=config)
+    return _report("glitch", own, rows, repeats, keys, sample_rate, master_seed)
 
 
 def bench_detect(

@@ -13,7 +13,9 @@ import csv
 import io
 import json
 import struct
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -170,46 +172,29 @@ def read_reference_set(path: str | Path) -> ReferenceSet:
 
 # --- sweep reports ------------------------------------------------------
 
-REPORT_COLUMNS = (
-    "preset",
-    "gain_db",
-    "noise_density",
-    "key",
-    "repeats",
-    "correct",
-    "mean_score",
-    "mean_margin",
-)
-
-
+@dataclass(frozen=True)
 class SweepRow:
-    """One (preset, key) aggregation line."""
+    """One (preset, key) aggregation line; the fields are the report columns."""
 
-    __slots__ = REPORT_COLUMNS
+    preset: str
+    gain_db: float
+    noise_density: float
+    key: str
+    repeats: int
+    correct: int
+    mean_score: float
+    mean_margin: float
 
-    def __init__(
-        self, preset, gain_db, noise_density, key, repeats, correct, mean_score,
-        mean_margin,
-    ):
-        if correct > repeats:
+    def __post_init__(self):
+        if self.correct > self.repeats:
             raise ValueError("correct count cannot exceed repeats")
-        self.preset = preset
-        self.gain_db = gain_db
-        self.noise_density = noise_density
-        self.key = key
-        self.repeats = repeats
-        self.correct = correct
-        self.mean_score = mean_score
-        self.mean_margin = mean_margin
 
     def as_dict(self) -> dict:
-        return {c: getattr(self, c) for c in REPORT_COLUMNS}
+        return asdict(self)
 
-    def __eq__(self, other):
-        return isinstance(other, SweepRow) and self.as_dict() == other.as_dict()
 
-    def __repr__(self):
-        return f"SweepRow({self.as_dict()!r})"
+REPORT_COLUMNS = tuple(f.name for f in fields(SweepRow))
+_COLUMN_TYPES = get_type_hints(SweepRow)
 
 
 class SweepReport:
@@ -242,7 +227,7 @@ def write_report(report: SweepReport, path: str | Path, fmt: str = "csv") -> Non
         writer = csv.writer(buf)
         writer.writerow(REPORT_COLUMNS)
         for row in report.rows:
-            writer.writerow([getattr(row, c) for c in REPORT_COLUMNS])
+            writer.writerow(astuple(row))
         Path(path).write_text(buf.getvalue(), encoding="utf-8")
     elif fmt == "json":
         doc = {
@@ -270,21 +255,10 @@ def read_report(path: str | Path) -> SweepReport:
             config[key] = value
         else:
             lines.append(line)
-    reader = csv.DictReader(lines)
-    rows = []
-    for rec in reader:
-        rows.append(
-            SweepRow(
-                preset=rec["preset"],
-                gain_db=float(rec["gain_db"]),
-                noise_density=float(rec["noise_density"]),
-                key=rec["key"],
-                repeats=int(rec["repeats"]),
-                correct=int(rec["correct"]),
-                mean_score=float(rec["mean_score"]),
-                mean_margin=float(rec["mean_margin"]),
-            )
-        )
+    rows = [
+        SweepRow(**{c: _COLUMN_TYPES[c](rec[c]) for c in REPORT_COLUMNS})
+        for rec in csv.DictReader(lines)
+    ]
     if not rows:
         raise TraceIOError(f"{path}: report contains no rows")
     return SweepReport(rows, config=config)

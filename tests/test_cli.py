@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from emanakey import read_report, read_trace
 from emanakey.cli import main
@@ -235,3 +236,54 @@ def test_detect_dir_equals_per_file_detect(tmp_path, capsys, monkeypatch):
     assert lines[-1].startswith("summary: ")
     assert "001_quiet.emtr: NO-SIGNAL" in stdout
     assert rc == max(code for code, _, _ in per_file) == 4
+
+
+@pytest.mark.parametrize(
+    "flag, spec",
+    [
+        ("--glitch-grid", "0,x"),
+        ("--glitch-grid", "0,-1"),
+        ("--noise-grid", "1e-9:2e-9"),
+        ("--noise-grid", "1e-9:2e-9:0"),
+        ("--noise-grid", "0:2e-9:3"),
+    ],
+)
+def test_sweep_bad_grid_is_a_usage_error(tmp_path, capsys, flag, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", flag, spec, "--out", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2
+    stderr = capsys.readouterr().err
+    assert flag in stderr and repr(spec) in stderr
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("config", "{"),
+        ("config", "[]"),
+        ("config", '{"min_peak": 3}'),
+        ("config", '{"filter_taps": 100}'),
+        ("config", '{"band_low_hz": "low"}'),
+        ("preset", "{"),
+        ("preset", '[{"name": "x"}]'),
+        ("preset", '{"name": "x", "distance_m": 3}'),
+        ("preset", '{"name": "x", "shielding_db": 99}'),
+    ],
+    ids=[
+        "config-json", "config-list", "config-unknown-key", "config-rejected",
+        "config-type", "preset-json", "preset-list", "preset-unknown-field",
+        "preset-rejected",
+    ],
+)
+def test_malformed_config_or_preset_is_a_data_error(tmp_path, capsys, kind, text):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    if kind == "config":
+        argv = ["detect", "--trace", str(tmp_path / "a.emtr"), "--config", str(path)]
+    else:
+        argv = ["synth", "--keys", "a", "--preset", str(path),
+                "--out-dir", str(tmp_path / "out")]
+    rc, _, stderr = run(argv, capsys)
+    assert rc == 3
+    assert stderr.startswith("error: ") and str(path) in stderr
+    assert "Traceback" not in stderr

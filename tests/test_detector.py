@@ -76,6 +76,29 @@ def test_config_file_roundtrip(tmp_path):
     assert DetectorConfig.from_file(path) == cfg
 
 
+def test_config_file_missing_keys_take_defaults(tmp_path):
+    path = tmp_path / "detector.json"
+    path.write_text('{"min_peaks": 12}\n')
+    assert DetectorConfig.from_file(path) == DetectorConfig(min_peaks=12)
+
+
+def test_config_file_bytes(tmp_path):
+    cfg = DetectorConfig(
+        band_low=9e6, zero_floor=1.5, offset_search=3, anchor_candidates=4,
+        min_peaks=12, filter_taps=301,
+    )
+    path = tmp_path / "detector.json"
+    cfg.to_file(path)
+    assert path.read_text() == (
+        '{\n  "band_low_hz": 9000000.0,\n  "band_high_hz": 18000000.0,\n'
+        '  "amplitude_v": 3.3,\n  "skip_fraction": 0.01,\n  "zero_floor_v": 1.5,\n'
+        '  "min_peak_separation_bits": 0.6666666666666666,\n'
+        '  "proximity_window_bits": 0.3333333333333333,\n'
+        '  "offset_search_slots": 3,\n  "anchor_candidates": 4,\n'
+        '  "bit_rate_bps": 12000000.0,\n  "filter_taps": 301,\n  "min_peaks": 12\n}\n'
+    )
+
+
 # --- bandpass -------------------------------------------------------------
 
 
