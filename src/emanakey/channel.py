@@ -418,16 +418,25 @@ def synth_dataset(
 # --- preset registry ---------------------------------------------------
 
 
+def preset_from_document(doc: object, source: str | Path) -> ChannelPreset:
+    """The preset a parsed JSON document holds; anything else raises
+    FileFormatError naming ``source``."""
+    try:
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        return ChannelPreset.from_dict(doc)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{source}: not a channel preset: {exc}") from exc
+
+
 def load_preset(path: str | Path) -> ChannelPreset:
     """Parse a preset file; a file that is no valid preset raises FileFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-        return ChannelPreset.from_dict(doc)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise FileFormatError(f"{path}: not a channel preset: {exc}") from exc
+    return preset_from_document(doc, path)
 
 
 def _builtin_preset_dir():

@@ -64,6 +64,19 @@ def _parse_keys(spec: str):
     return [key_by_label(label) for label in spec.split(",")]
 
 
+def _positive_int(spec: str) -> int:
+    """An integer >= 1."""
+    try:
+        value = int(spec)
+        if value < 1:
+            raise ValueError(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {spec!r}"
+        ) from None
+    return value
+
+
 def _noise_grid(spec: str) -> list[float]:
     """'lo:hi:n': n geometric steps from lo to hi, every density finite and > 0."""
     try:
@@ -269,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize labeled emanation traces")
     p.add_argument("--keys", default="all", help="'all' or comma-separated labels")
     p.add_argument("--preset", required=True)
-    p.add_argument("--repeats", type=int, default=2)
+    p.add_argument("--repeats", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sample-rate", type=float, default=250e6)
     p.add_argument("--out-dir", required=True)
@@ -291,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lo:hi:n geometric noise-density grid")
     group.add_argument("--glitch-grid", type=_glitch_grid,
                        help="comma-separated glitch counts")
-    p.add_argument("--repeats", type=int, default=10)
+    p.add_argument("--repeats", type=_positive_int, default=10)
     p.add_argument("--refs", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -300,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="measure per-detection latency")
-    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--iters", type=_positive_int, default=200)
     p.add_argument("--refs", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)

@@ -22,17 +22,18 @@ the bits a lone trace gets.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft
 from scipy import signal as sp_signal
-from scipy.fft import next_fast_len
 
 from .channel import EmanationTrace
-from .edges import EdgeSeries, ReferenceSet
+from .edges import EdgeSeries, ReferenceSet, _read_only
 from .errors import (
     DegenerateTraceError,
     FileFormatError,
@@ -185,14 +186,12 @@ def _analytic_filter(
     the filter changes no bit of the product.
     """
     h = _bandpass_taps(sample_rate, band_low, band_high, taps)
-    nfft = next_fast_len(n + h.size - 1)
+    nfft = sp_fft.next_fast_len(n + h.size - 1)
     weights = np.full(nfft // 2 + 1, 2.0)
     weights[0] = 1.0
     if nfft % 2 == 0:
         weights[-1] = 1.0
-    spec = np.fft.rfft(h, nfft) * weights
-    spec.setflags(write=False)
-    return nfft, spec
+    return nfft, _read_only(sp_fft.rfft(h, nfft) * weights)
 
 
 def _band_envelope(
@@ -208,15 +207,41 @@ def _band_envelope(
         raise SampleRateError(
             f"sample rate {sample_rate:g} too low for a {cfg.band_high:g} Hz band edge"
         )
-    x = np.asarray(samples, dtype=np.float64)
-    n = x.shape[-1]
+    n = samples.shape[-1]
     nfft, h_spec = _analytic_filter(
         n, sample_rate, cfg.band_low, cfg.band_high, cfg.filter_taps
     )
+    # Zero-padded float64 rows: the bits rfft(x, nfft) pads x to.
+    x = np.zeros(samples.shape[:-1] + (nfft,))
+    x[..., :n] = samples
+    spectrum = sp_fft.rfft(x)
+    spectrum *= h_spec
     # ifft zero-pads the positive half to nfft: the analytic-signal spectrum.
-    analytic = np.fft.ifft(np.fft.rfft(x, nfft) * h_spec, nfft)
+    analytic = sp_fft.ifft(spectrum, nfft, overwrite_x=True)
     start = (cfg.filter_taps - 1) // 2  # 'same' alignment, group delay removed
     return np.abs(analytic[..., start : start + n])
+
+
+def _percentile_rows(x: np.ndarray, q: float) -> np.ndarray:
+    """np.percentile(x, q, axis=-1, keepdims=True) of finite x, bit for bit.
+
+    numpy's default "linear" method reads each sorted row at the virtual
+    index (n - 1) * (q / 100) and interpolates its two neighbours with
+    numpy's _lerp arithmetic, which takes the upper neighbour as base once
+    the fraction reaches 0.5. Only those two order statistics are needed,
+    so one partition replaces the sort; x is partitioned in place.
+    """
+    n = x.shape[-1]
+    virtual = (n - 1) * (q / 100)
+    lo = min(math.floor(virtual), n - 1)
+    hi = min(lo + 1, n - 1)
+    gamma = virtual - lo
+    x.partition((lo, hi), axis=-1)
+    below, above = x[..., lo : lo + 1], x[..., hi : hi + 1]
+    diff = above - below
+    if gamma >= 0.5:
+        return above - diff * (1 - gamma)
+    return below + diff * gamma
 
 
 def _normalize(x: np.ndarray, cfg: DetectorConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -224,12 +249,11 @@ def _normalize(x: np.ndarray, cfg: DetectorConfig) -> tuple[np.ndarray, np.ndarr
 
     Rows with no scale come back as zeros instead of raising.
     """
-    s_max = np.percentile(
-        np.abs(x), 100.0 * (1.0 - cfg.skip_fraction), axis=-1, keepdims=True
-    )
+    s_max = _percentile_rows(np.abs(x), 100.0 * (1.0 - cfg.skip_fraction))
     dead = s_max <= 0.0
     scale = np.divide(cfg.amplitude, s_max, out=np.zeros_like(s_max), where=~dead)
-    return np.clip(x * scale, -cfg.amplitude, cfg.amplitude), dead[..., 0]
+    scaled = x * scale
+    return np.clip(scaled, -cfg.amplitude, cfg.amplitude, out=scaled), dead[..., 0]
 
 
 def normalize(
@@ -249,16 +273,17 @@ def normalize(
 def _peak_rows(
     normalized: np.ndarray, sample_rate: float, cfg: DetectorConfig
 ) -> list[np.ndarray]:
-    """Peak times (s) of each row of |x| floored below A/2; rows may be empty."""
+    """Peak times (s) of each row of |x| floored below A/2; rows may be empty.
+
+    Flooring leaves every sample at 0 or at least the floor, so each local
+    maximum already clears it and find_peaks needs no height test.
+    """
     y = np.abs(np.asarray(normalized, dtype=np.float64))
-    y[y < cfg.floor] = 0.0
+    y = np.where(y < cfg.floor, 0.0, y)
     min_sep = max(
         1, int(round(cfg.min_peak_separation * cfg.bit_width * sample_rate))
     )
-    return [
-        sp_signal.find_peaks(row, height=cfg.floor, distance=min_sep)[0] / sample_rate
-        for row in y
-    ]
+    return [sp_signal.find_peaks(row, distance=min_sep)[0] / sample_rate for row in y]
 
 
 def threshold_and_peaks(
@@ -319,14 +344,40 @@ def _grid_slots(
     ragged rows and fills no slot. Grid j puts slot ``anchor_slots[j]`` at
     its anchor.
     """
-    pos = (peak_times[:, None, :] - anchors[:, :, None]) / bit_width
-    pos = pos + anchor_slots[None, :, None]
+    pos = peak_times[:, None, :] - anchors[:, :, None]
+    pos /= bit_width
+    pos += anchor_slots[:, None]
     idx = np.rint(pos)
-    ok = (np.abs(pos - idx) <= proximity) & (idx >= 0) & (idx < n_slots)
+    pos -= idx
+    ok = np.abs(pos, out=pos) <= proximity
+    ok &= idx >= 0
+    ok &= idx < n_slots
+    idx += _grid_base(anchors.shape, n_slots)
     slots = np.zeros(anchors.shape + (n_slots,), dtype=bool)
-    row, grid, _ = np.nonzero(ok)
-    slots[row, grid, idx[ok].astype(np.intp)] = True
+    slots.reshape(-1)[idx[ok].astype(np.intp)] = True
     return slots
+
+
+@lru_cache(maxsize=64)
+def _grid_base(shape: tuple[int, int], n_slots: int) -> np.ndarray:
+    """Flat offset of each (row, grid) slot vector: (rows, grids, 1) float64."""
+    base = np.arange(shape[0] * shape[1], dtype=np.float64) * n_slots
+    return _read_only(base.reshape(shape + (1,)))
+
+
+@lru_cache(maxsize=8)
+def _anchor_grids(
+    anchor_candidates: int, offset_search: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The anchoring peak and anchor slot of each grid: two (grids,) int arrays.
+
+    Grid j anchors slot ``slots[j]`` at peak ``peaks[j]``; each of the
+    leading anchor_candidates peaks is tried at every slot within
+    +/-offset_search of slot 0.
+    """
+    offsets = np.arange(-offset_search, offset_search + 1)
+    peaks = np.repeat(np.arange(anchor_candidates), offsets.size)
+    return _read_only(peaks), _read_only(np.tile(offsets, anchor_candidates))
 
 
 def _scores(slot_rows: np.ndarray, refs: ReferenceSet) -> np.ndarray:
@@ -397,19 +448,20 @@ def _match_peaks(
     lengths = refs.lengths
     width = refs.slot_matrix.shape[1]
     bit = 1.0 / refs.bit_rate
+    anchor_peaks, anchor_slots = _anchor_grids(cfg.anchor_candidates, cfg.offset_search)
 
-    peaks = np.full((len(peak_lists), max(p.size for p in peak_lists)), np.nan)
+    # NaN pads ragged rows, and rows with fewer peaks than anchor candidates.
+    n_peaks = max(cfg.anchor_candidates, max(p.size for p in peak_lists))
+    peaks = np.full((len(peak_lists), n_peaks), np.nan)
     for row, times in enumerate(peak_lists):
         peaks[row, : times.size] = times
-    offsets = np.arange(-cfg.offset_search, cfg.offset_search + 1)
-    anchors = np.repeat(peaks[:, : cfg.anchor_candidates], offsets.size, axis=1)
-    anchor_slots = np.tile(offsets, anchors.shape[1] // offsets.size)
+    anchors = peaks[:, anchor_peaks]
     grids = _grid_slots(peaks, anchors, anchor_slots, bit, width, cfg.proximity_window)
     scores = _scores(grids.reshape(-1, width), refs).reshape(*anchors.shape, len(keys))
-    scores[np.isnan(anchors)] = -np.inf  # a row with fewer peaks than anchors
+    scores[np.isnan(anchors)] = -np.inf  # a grid anchored at a missing peak
 
     best_grid = np.argmax(scores, axis=1)  # (rows, keys): first maximal grid
-    best = np.take_along_axis(scores, best_grid[:, None, :], axis=1)[:, 0, :]
+    best = scores.max(axis=1)
     results = []
     for row in range(len(peak_lists)):
         winner = int(np.argmax(best[row]))
@@ -473,10 +525,11 @@ def detect_batch(
 
     Traces are grouped by (length, sample rate), since both fix the FFT
     size, and each group is run in chunks of _CHUNK_ROWS rows: one
-    rfft/ifft and one percentile per chunk, find_peaks per row, and every
-    row's anchor grids scored against every reference in one matmul. A
-    trace with no usable signal gets its NoSignalError in its own slot
-    and does not fail the batch.
+    rfft/ifft pair and one row-wise partition for the scale per chunk,
+    find_peaks per row, and every row's anchor grids scored against every
+    reference in one matmul. A lone trace takes the same path as a chunk
+    of one row. A trace with no usable signal gets its NoSignalError in
+    its own slot and does not fail the batch.
     """
     outcomes: list[DetectionResult | NoSignalError | None] = [None] * len(traces)
     groups: dict[tuple[int, float], list[int]] = {}

@@ -59,7 +59,7 @@ class EdgeSeries:
         )
         if self.slots.ndim != 1:
             raise ValueError("slots must be a 1-D binary vector")
-        if not np.all((self.slots == 0) | (self.slots == 1)):
+        if self.slots.max(initial=0) > 1:  # uint8: only 0 and 1 stay <= 1
             raise ValueError("slots must contain only 0 and 1")
 
     def __len__(self) -> int:

@@ -19,7 +19,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .channel import ChannelPreset, EmanationTrace
+from .channel import EmanationTrace, preset_from_document
 from .edges import EdgeSeries, ReferenceSet
 from .errors import (
     CsvParseError,
@@ -28,7 +28,7 @@ from .errors import (
     TraceIOError,
     TruncatedFileError,
 )
-from .keys import KeyId, key_by_index
+from .keys import KeyId, key_by_index, key_by_label
 
 TRACE_MAGIC = b"EMTR"
 TRACE_VERSION = 1
@@ -64,7 +64,8 @@ def write_trace(trace: EmanationTrace, path: str | Path) -> None:
 
 
 def read_trace(path: str | Path) -> EmanationTrace:
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if len(raw) < _TRACE_HEADER.size:
         raise TruncatedFileError(f"{path}: shorter than the trace header")
     magic, version, rate, channels, count = _TRACE_HEADER.unpack_from(raw)
@@ -79,25 +80,19 @@ def read_trace(path: str | Path) -> EmanationTrace:
         raise TruncatedFileError(
             f"{path}: declares {count} samples but payload is truncated"
         )
-    samples = np.frombuffer(raw[_TRACE_HEADER.size : payload_end], dtype="<f4").copy()
-    meta_blob = raw[payload_end:]
+    samples = np.frombuffer(raw, "<f4", count, _TRACE_HEADER.size).copy()
     try:
-        meta = json.loads(meta_blob.decode("utf-8")) if meta_blob else {}
+        meta = json.loads(raw[payload_end:].decode("utf-8") or "{}")
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path}: corrupt metadata block: {exc}") from exc
-    ground_truth = None
-    if meta.get("ground_truth") is not None:
-        from .keys import key_by_label
-
-        ground_truth = key_by_label(meta["ground_truth"])
-    preset = (
-        ChannelPreset.from_dict(meta["preset"]) if meta.get("preset") else None
-    )
+    if not isinstance(meta, dict):
+        raise FileFormatError(f"{path}: metadata block is not a JSON object")
+    label, preset = meta.get("ground_truth"), meta.get("preset")
     return EmanationTrace(
         samples=samples,
         sample_rate=float(rate),
-        ground_truth=ground_truth,
-        preset=preset,
+        ground_truth=None if label is None else key_by_label(label),
+        preset=None if preset is None else preset_from_document(preset, path),
         seed=meta.get("seed"),
     )
 

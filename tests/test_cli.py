@@ -287,3 +287,47 @@ def test_malformed_config_or_preset_is_a_data_error(tmp_path, capsys, kind, text
     assert rc == 3
     assert stderr.startswith("error: ") and str(path) in stderr
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--keys", "a", "--preset", "identity", "--repeats", "0"],
+        ["synth", "--keys", "a", "--preset", "identity", "--repeats", "-2"],
+        ["sweep", "--glitch-grid", "0", "--repeats", "0"],
+        ["sweep", "--preset-grid", "identity", "--repeats", "-1"],
+        ["bench", "--iters", "0"],
+        ["bench", "--iters", "-5"],
+    ],
+    ids=["synth-0", "synth-neg", "sweep-0", "sweep-neg", "bench-0", "bench-neg"],
+)
+def test_count_below_one_is_a_usage_error(tmp_path, capsys, argv):
+    out = ["--out-dir", str(tmp_path / "t")] if argv[0] == "synth" else []
+    out += ["--out", str(tmp_path / "r.csv")] if argv[0] == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        main(argv + out)
+    assert exc.value.code == 2
+    stderr = capsys.readouterr().err
+    flag, value = argv[-2:]
+    assert flag in stderr and repr(value) in stderr
+    assert "Traceback" not in stderr
+
+
+def test_trace_with_malformed_preset_is_a_data_error(tmp_path, capsys):
+    import emanakey
+    from emanakey.traceio import _TRACE_HEADER
+
+    trace = emanakey.synth_dataset(
+        [emanakey.key_by_label("a")], emanakey.get_preset("identity"), master_seed=1
+    )[0]
+    path = tmp_path / "a.emtr"
+    emanakey.write_trace(trace, path)
+    raw = path.read_bytes()
+    payload_end = _TRACE_HEADER.size + 4 * trace.samples.size
+    meta = json.loads(raw[payload_end:])
+    meta["preset"]["distance_m"] = 3
+    path.write_bytes(raw[:payload_end] + json.dumps(meta).encode())
+    rc, stdout, stderr = run(["detect", "--trace", str(path)], capsys)
+    assert rc == 3
+    assert stderr.startswith("error: ") and str(path) in stderr
+    assert "Traceback" not in stderr and not stdout

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from emanakey.detector import (
     _CHUNK_ROWS,
     DEFAULT_CONFIG,
     _band_envelope,
+    _percentile_rows,
     amplitude_envelope,
 )
 from emanakey.edges import EdgeSeries
@@ -164,6 +167,43 @@ def test_normalize_skips_lone_spike():
 def test_normalize_rejects_all_zero():
     with pytest.raises(DegenerateTraceError):
         normalize(np.zeros(100))
+
+
+# Percentiles whose virtual index (n - 1) * q / 100 falls on a sample
+# (gamma = 0), below the midpoint between two (gamma < 0.5) and at or
+# above it (gamma >= 0.5, where numpy's lerp counts from the upper one).
+PERCENTILES = (0.0, 1.0, 25.0, 50.0, 75.0, 98.0, 99.0, 99.5, 100.0, 100.0 * (1 - 0.01))
+
+
+def _gamma(n, q):
+    virtual = (n - 1) * (q / 100)
+    return virtual - math.floor(virtual)
+
+
+def _percentile_rows_inputs(n, rows):
+    rng = np.random.default_rng(n * 100 + rows)
+    x = np.abs(rng.normal(size=(rows, n)))
+    if rows > 1:
+        x[1] = 0.0
+        x[2] = 2.5
+        x[3] = np.round(x[3], 1)  # many equal values
+        x[4] = -x[4]
+    return [x, np.zeros((rows, n)), np.full((rows, n), 1.7)]
+
+
+@pytest.mark.parametrize("rows", [1, 32])
+@pytest.mark.parametrize("n", [1, 2, 3000, 3021])
+def test_percentile_rows_is_numpy_percentile_bit_for_bit(n, rows):
+    gammas = {_gamma(n, q) for q in PERCENTILES}
+    if n > 1:  # a single sample has no neighbour to interpolate
+        assert 0.0 in gammas
+        assert any(0 < g < 0.5 for g in gammas) and any(g >= 0.5 for g in gammas)
+    for x in _percentile_rows_inputs(n, rows):
+        for q in PERCENTILES:
+            want = np.percentile(x, q, axis=-1, keepdims=True)
+            got = _percentile_rows(x.copy(), q)
+            assert got.shape == want.shape == (rows, 1)
+            assert got.tobytes() == want.tobytes(), (n, rows, q)
 
 
 # --- threshold_and_peaks ---------------------------------------------------
@@ -427,9 +467,9 @@ def test_accuracy_monotone_in_noise(refs):
 # --- detect_batch -----------------------------------------------------------
 
 
-def _oracle_outcome(trace, refs):
+def _oracle_outcome(trace, refs, cfg=CFG):
     try:
-        return detect_oracle(trace, refs)
+        return detect_oracle(trace, refs, cfg)
     except NoSignalError as exc:
         return ("no-signal", str(exc))
 
@@ -478,6 +518,28 @@ def test_detect_batch_equals_single_trace_oracle(refs):
         except NoSignalError as exc:
             have = ("no-signal", str(exc))
         assert have == want
+
+
+@pytest.mark.parametrize("skip_fraction, extra", [(0.02, 21), (0.25, 23)])
+def test_detect_batch_equals_oracle_off_the_default_skip(refs, skip_fraction, extra):
+    # Lengths 3000 and 3000 + extra put the scale percentile on both sides
+    # of the interpolation midpoint, whatever the default skip does.
+    cfg = DetectorConfig(skip_fraction=skip_fraction)
+    q = 100.0 * (1.0 - skip_fraction)
+    assert 0 < _gamma(3000, q) < 0.5 <= _gamma(3000 + extra, q)
+    traces = []
+    for i, name in enumerate(["open-space-3m", "open-space-3.8m", "office-12m"]):
+        traces += synth_dataset(
+            list(KEYS[::7]), get_preset(name), repeats=1, master_seed=60 + i
+        )
+    traces += [
+        EmanationTrace(samples=np.r_[t.samples, t.samples[:extra]], sample_rate=FS)
+        for t in traces[::2]
+    ]
+    expected = [_oracle_outcome(t, refs, cfg) for t in traces]
+    got = [_outcome(r) for r in detect_batch(traces, refs, cfg)]
+    assert got == expected
+    assert sum(isinstance(r, tuple) for r in expected) < len(traces) // 4
 
 
 def test_detect_batch_empty(refs):

@@ -19,7 +19,7 @@ from emanakey import (
     write_report,
     write_trace,
 )
-from emanakey.traceio import REPORT_COLUMNS, SweepReport, SweepRow
+from emanakey.traceio import _TRACE_HEADER, REPORT_COLUMNS, SweepReport, SweepRow
 
 
 def make_trace(n=1000, seed=1):
@@ -83,6 +83,41 @@ def test_trace_version_mismatch(tmp_path):
     raw[4:6] = (99).to_bytes(2, "little")
     path.write_bytes(raw)
     with pytest.raises(FileVersionError):
+        read_trace(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda meta: meta["preset"].update(distance_m=3),
+        lambda meta: meta.update(preset=[["name", "x"]]),
+        lambda meta: meta.update(preset="open-space-3m"),
+        lambda meta: meta["preset"].update(shielding_db=99),
+        lambda meta: meta["preset"].pop("name"),
+    ],
+    ids=["unknown-field", "list", "string", "rejected-value", "no-name"],
+)
+def test_trace_with_malformed_preset_raises_file_format_error(tmp_path, edit):
+    trace = make_trace(n=16)
+    path = tmp_path / "t.emtr"
+    write_trace(trace, path)
+    raw = path.read_bytes()
+    payload_end = _TRACE_HEADER.size + 4 * trace.samples.size
+    meta = json.loads(raw[payload_end:])
+    edit(meta)
+    path.write_bytes(raw[:payload_end] + json.dumps(meta).encode())
+    with pytest.raises(FileFormatError, match="t.emtr: not a channel preset"):
+        read_trace(path)
+
+
+def test_trace_metadata_must_be_an_object(tmp_path):
+    trace = make_trace(n=16)
+    path = tmp_path / "t.emtr"
+    write_trace(trace, path)
+    raw = path.read_bytes()
+    payload_end = _TRACE_HEADER.size + 4 * trace.samples.size
+    path.write_bytes(raw[:payload_end] + b"[1, 2]")
+    with pytest.raises(FileFormatError, match="t.emtr"):
         read_trace(path)
 
 
