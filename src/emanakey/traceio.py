@@ -80,7 +80,8 @@ def read_trace(path: str | Path) -> EmanationTrace:
         raise TruncatedFileError(
             f"{path}: declares {count} samples but payload is truncated"
         )
-    samples = np.frombuffer(raw, "<f4", count, _TRACE_HEADER.size).copy()
+    payload = np.frombuffer(raw, dtype="<f4", count=count, offset=_TRACE_HEADER.size)
+    samples = payload.copy()  # writable, and detached from the file's bytes
     try:
         meta = json.loads(raw[payload_end:].decode("utf-8") or "{}")
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
