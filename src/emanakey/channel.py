@@ -126,6 +126,7 @@ class EmanationTrace:
     ground_truth: KeyId | None = None
     preset: ChannelPreset | None = None
     seed: int | None = None
+    repeat: int | None = None  # with seed and key, names the noise stream
 
     def __post_init__(self):
         samples = np.ascontiguousarray(self.samples, dtype=np.float32)
@@ -142,6 +143,7 @@ class EmanationTrace:
             and self.ground_truth == other.ground_truth
             and self.preset == other.preset
             and self.seed == other.seed
+            and self.repeat == other.repeat
         )
 
     @property
@@ -242,7 +244,9 @@ def _interference(
     A tone at or above the Nyquist guard draws no phase; a comb draws all
     16 and drops the tones above the guard. Each tone is
     cos(wt + phase) = cos(wt) cos(phase) - sin(wt) sin(phase), so a trace
-    costs one product with the interferer's cached tables.
+    costs one product with the interferer's cached tables. A single kept
+    tone is one product per sample, which is what the matvec computes,
+    without the cost of a BLAS call.
     """
     nyquist_guard = 0.48 * sample_rate
     if interferer.bandwidth_hz <= 0:
@@ -259,21 +263,34 @@ def _interference(
     amp = math.sqrt(2.0 * interferer.power / freqs.size)
     keep = freqs < nyquist_guard
     cos_t, sin_t = _tone_table(tuple(freqs[keep].tolist()), n, sample_rate)
-    return (amp * np.cos(phases[keep])) @ cos_t - (amp * np.sin(phases[keep])) @ sin_t
+    a, b = amp * np.cos(phases[keep]), amp * np.sin(phases[keep])
+    if a.size == 1:
+        return a[0] * cos_t[0] - b[0] * sin_t[0]
+    return a @ cos_t - b @ sin_t
 
 
 GLITCH_BURST_SIGMA_S = 20e-9
 GLITCH_BURST_FREQ_HZ = 14e6
 
 
+@functools.lru_cache(maxsize=8)
+def _glitch_shape(sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gaussian envelope and carrier of a unit glitch burst."""
+    half = int(round(4 * GLITCH_BURST_SIGMA_S * sample_rate))
+    t = np.arange(-half, half + 1) / sample_rate
+    env = np.exp(-0.5 * (t / GLITCH_BURST_SIGMA_S) ** 2)
+    carrier = np.cos(2 * np.pi * GLITCH_BURST_FREQ_HZ * t)
+    env.flags.writeable = False
+    carrier.flags.writeable = False
+    return env, carrier
+
+
 def _glitch_burst(amplitude: float, sample_rate: float) -> np.ndarray:
     # Short burst with its energy inside the detection band: a spike that
     # is still a spike after the receiver's bandpass. A one-sample impulse
     # would lose ~24 dB of amplitude to out-of-band rejection.
-    half = int(round(4 * GLITCH_BURST_SIGMA_S * sample_rate))
-    t = np.arange(-half, half + 1) / sample_rate
-    env = np.exp(-0.5 * (t / GLITCH_BURST_SIGMA_S) ** 2)
-    return amplitude * env * np.cos(2 * np.pi * GLITCH_BURST_FREQ_HZ * t)
+    env, carrier = _glitch_shape(sample_rate)
+    return amplitude * env * carrier
 
 
 def _robust_max(x: np.ndarray) -> float:
@@ -282,22 +299,22 @@ def _robust_max(x: np.ndarray) -> float:
 
 
 def _add_glitches(
-    samples: np.ndarray,
+    out: np.ndarray,
     count: int,
     amp_range: tuple[float, float],
     base_amplitude: float,
     rng: np.random.Generator,
     times: np.ndarray | None,
     sample_rate: float,
-) -> np.ndarray:
+) -> None:
+    """Add ``count`` bursts to the float64 samples ``out``, in place."""
     if count == 0:
-        return samples
-    out = samples.copy()
+        return
     if times is None:
-        idx = rng.integers(1, max(2, samples.size - 1), size=count)
+        idx = rng.integers(1, max(2, out.size - 1), size=count)
     else:
         idx = np.clip(
-            np.rint(np.asarray(times) * sample_rate).astype(int), 1, samples.size - 2
+            np.rint(np.asarray(times) * sample_rate).astype(int), 1, out.size - 2
         )
     factors = rng.uniform(amp_range[0], amp_range[1], size=count)
     signs = rng.choice([-1.0, 1.0], size=count)
@@ -305,9 +322,8 @@ def _add_glitches(
         burst = _glitch_burst(s * f * base_amplitude, sample_rate)
         half = burst.size // 2
         lo = max(0, i - half)
-        hi = min(samples.size, i + half + 1)
+        hi = min(out.size, i + half + 1)
         out[lo:hi] += burst[half - (i - lo) : half + (hi - i)]
-    return out
 
 
 def apply_channel(
@@ -316,10 +332,17 @@ def apply_channel(
     sample_rate: float = DEFAULT_SAMPLE_RATE,
     ground_truth: KeyId | None = None,
     rng: np.random.Generator | None = None,
+    *,
+    seed: int | None = None,
+    repeat: int | None = None,
 ) -> EmanationTrace:
     """Deterministic channel given (preset, seed).
 
     trace = clean * preset.signal_scale + white noise + interferers + glitches
+
+    Without ``rng`` the noise stream is seeded from the preset's seed. The
+    trace records ``seed`` (by default the preset's) and ``repeat`` as the
+    provenance of its stream; they do not seed ``rng``.
     """
     if rng is None:
         rng = np.random.default_rng(preset.seed)
@@ -337,16 +360,16 @@ def apply_channel(
         # Glitch amplitude scales with the wanted signal so the burst lands
         # just above the normalizer's clip level after the bandpass.
         count = int(rng.poisson(preset.glitch_rate))
-        out = _add_glitches(
-            out, count, preset.glitch_amp, signal_peak, rng, None, sample_rate
-        )
+        # out is a fresh array: the scaled signal plus whatever was added.
+        _add_glitches(out, count, preset.glitch_amp, signal_peak, rng, None, sample_rate)
 
     return EmanationTrace(
         samples=out,
         sample_rate=sample_rate,
         ground_truth=ground_truth,
         preset=preset,
-        seed=preset.seed,
+        seed=preset.seed if seed is None else seed,
+        repeat=repeat,
     )
 
 
@@ -373,8 +396,9 @@ def inject_glitch(
         return trace
     amp_range = (amplitude, amplitude) if np.isscalar(amplitude) else tuple(amplitude)
     rng = np.random.default_rng(seed)
-    samples = _add_glitches(
-        trace.samples.astype(np.float64),
+    samples = trace.samples.astype(np.float64)
+    _add_glitches(
+        samples,
         count,
         amp_range,
         base_amplitude if base_amplitude is not None else _robust_max(trace.samples),
@@ -396,7 +420,8 @@ def synth_dataset(
     """Labeled traces for every (key, repeat), independent noise streams.
 
     Each trace owns an RNG stream derived from (master seed, key index,
-    repeat), so datasets are reproducible and order-independent.
+    repeat), so datasets are reproducible and order-independent; the
+    trace records the master seed and the repeat.
     """
     if not keys:
         raise ValueError("key list must be nonempty")
@@ -407,11 +432,10 @@ def synth_dataset(
     for r in range(repeats):
         for key in keys:
             rng = np.random.default_rng([seed, key.index, r])
-            trace = apply_channel(
+            traces.append(apply_channel(
                 clean_waveform(key, pulse, sample_rate), preset, sample_rate,
-                ground_truth=key, rng=rng,
-            )
-            traces.append(replace(trace, seed=seed))
+                ground_truth=key, rng=rng, seed=seed, repeat=r,
+            ))
     return traces
 
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -194,32 +196,72 @@ def _analytic_filter(
     return nfft, _read_only(sp_fft.rfft(h, nfft) * weights)
 
 
+class _Workspace:
+    """One thread's chunk buffers at one FFT size, reused chunk after chunk.
+
+    A 32-row chunk needs about 4 MB of temporaries. Blocks that large go
+    back to the OS when freed, so fresh ones would be faulted in again on
+    every chunk. Each buffer is nfft wide, so any trace length that maps
+    to this FFT size fits.
+    """
+
+    def __init__(self, rows: int, nfft: int):
+        self.nfft = nfft
+        self.padded = np.empty((rows, nfft))  # input rows, zero-padded
+        self.spectrum = np.empty((rows, nfft), dtype=complex)
+        self.envelope = np.empty((rows, nfft))
+        self.scratch = np.empty((rows, nfft))  # |x| partitioned for the scale
+
+
+_local = threading.local()
+
+
+def _workspace(rows: int, nfft: int) -> _Workspace:
+    """This thread's workspace, with at least ``rows`` rows of FFT size ``nfft``.
+
+    It is replaced when the FFT size changes or a larger chunk arrives.
+    """
+    ws = getattr(_local, "workspace", None)
+    if ws is None or ws.nfft != nfft or ws.padded.shape[0] < rows:
+        ws = _local.workspace = _Workspace(rows, nfft)
+    return ws
+
+
 def _band_envelope(
-    samples: np.ndarray, sample_rate: float, cfg: DetectorConfig
-) -> np.ndarray:
-    """Fused bandpass + envelope along the last axis: one rfft, one ifft.
+    rows: Sequence[np.ndarray], sample_rate: float, cfg: DetectorConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fused bandpass + envelope of same-length rows: one rfft, one ifft.
 
     Numerically equivalent (away from the trace ends) to
-    amplitude_envelope(bandpass(x)); every row of a 2-D input gets the
-    bits a 1-D call on that row gets.
+    amplitude_envelope(bandpass(x)); each row gets the bits a chunk of one
+    row gets. Returns the (rows, n) envelope and a scratch array of its
+    shape, both views into this thread's workspace that the thread's next
+    call overwrites.
     """
     if sample_rate <= 2 * cfg.band_high:
         raise SampleRateError(
             f"sample rate {sample_rate:g} too low for a {cfg.band_high:g} Hz band edge"
         )
-    n = samples.shape[-1]
+    b, n = len(rows), len(rows[0])
     nfft, h_spec = _analytic_filter(
         n, sample_rate, cfg.band_low, cfg.band_high, cfg.filter_taps
     )
+    ws = _workspace(b, nfft)
     # Zero-padded float64 rows: the bits rfft(x, nfft) pads x to.
-    x = np.zeros(samples.shape[:-1] + (nfft,))
-    x[..., :n] = samples
-    spectrum = sp_fft.rfft(x)
-    spectrum *= h_spec
-    # ifft zero-pads the positive half to nfft: the analytic-signal spectrum.
-    analytic = sp_fft.ifft(spectrum, nfft, overwrite_x=True)
+    x = ws.padded[:b]
+    for padded, samples in zip(x, rows):
+        padded[:n] = samples
+    x[:, n:] = 0.0  # an earlier chunk may have been longer
+    spectrum = ws.spectrum[:b]
+    half = spectrum[:, : nfft // 2 + 1]
+    np.fft.rfft(x, out=half)
+    half *= h_spec
+    # The zeroed negative half makes the ifft the analytic signal.
+    spectrum[:, nfft // 2 + 1 :] = 0.0
+    np.fft.ifft(spectrum, out=spectrum)
     start = (cfg.filter_taps - 1) // 2  # 'same' alignment, group delay removed
-    return np.abs(analytic[..., start : start + n])
+    envelope = np.abs(spectrum[:, start : start + n], out=ws.envelope[:b, :n])
+    return envelope, ws.scratch[:b, :n]
 
 
 def _percentile_rows(x: np.ndarray, q: float) -> np.ndarray:
@@ -244,16 +286,24 @@ def _percentile_rows(x: np.ndarray, q: float) -> np.ndarray:
     return below + diff * gamma
 
 
-def _normalize(x: np.ndarray, cfg: DetectorConfig) -> tuple[np.ndarray, np.ndarray]:
-    """normalize() along the last axis, plus the rows that have no scale.
+def _normalize(
+    x: np.ndarray, cfg: DetectorConfig, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """normalize() along the last axis, in place; returns the rows with no scale.
 
-    Rows with no scale come back as zeros instead of raising.
+    Rows with no scale (all-zero or empty) become zeros instead of raising.
+    ``scratch``, shaped like x, takes the partitioned |x|; by default a
+    fresh array does.
     """
-    s_max = _percentile_rows(np.abs(x), 100.0 * (1.0 - cfg.skip_fraction))
+    if x.shape[-1] == 0:
+        return np.ones(x.shape[:-1], dtype=bool)
+    s_max = _percentile_rows(
+        np.abs(x, out=scratch), 100.0 * (1.0 - cfg.skip_fraction)
+    )
     dead = s_max <= 0.0
-    scale = np.divide(cfg.amplitude, s_max, out=np.zeros_like(s_max), where=~dead)
-    scaled = x * scale
-    return np.clip(scaled, -cfg.amplitude, cfg.amplitude, out=scaled), dead[..., 0]
+    x *= np.divide(cfg.amplitude, s_max, out=np.zeros_like(s_max), where=~dead)
+    np.clip(x, -cfg.amplitude, cfg.amplitude, out=x)
+    return dead[..., 0]
 
 
 def normalize(
@@ -264,9 +314,9 @@ def normalize(
     Skipping the top fraction keeps a lone interference spike from
     deflating the scale; the spike itself is clipped to A.
     """
-    normalized, dead = _normalize(np.asarray(samples, dtype=np.float64), cfg)
-    if dead.any():
-        raise DegenerateTraceError("all-zero trace cannot be normalized")
+    normalized = np.array(samples, dtype=np.float64)
+    if _normalize(normalized, cfg).any():
+        raise DegenerateTraceError("all-zero or empty trace cannot be normalized")
     return normalized
 
 
@@ -275,11 +325,12 @@ def _peak_rows(
 ) -> list[np.ndarray]:
     """Peak times (s) of each row of |x| floored below A/2; rows may be empty.
 
-    Flooring leaves every sample at 0 or at least the floor, so each local
-    maximum already clears it and find_peaks needs no height test.
+    Takes |x| and floors it in place. Flooring leaves every sample at 0 or
+    at least the floor, so each local maximum already clears it and
+    find_peaks needs no height test.
     """
-    y = np.abs(np.asarray(normalized, dtype=np.float64))
-    y = np.where(y < cfg.floor, 0.0, y)
+    y = np.abs(normalized, out=normalized)
+    y *= y >= cfg.floor
     min_sep = max(
         1, int(round(cfg.min_peak_separation * cfg.bit_width * sample_rate))
     )
@@ -296,7 +347,8 @@ def threshold_and_peaks(
     No two peaks are closer than min_peak_separation of a bit width; the
     higher peak wins a conflict window.
     """
-    (times,) = _peak_rows(np.asarray(normalized)[None, :], sample_rate, cfg)
+    y = np.array(normalized, dtype=np.float64)[None, :]
+    (times,) = _peak_rows(y, sample_rate, cfg)
     if times.size == 0:
         raise NoSignalError("no peaks above the amplitude floor")
     return times
@@ -478,19 +530,27 @@ def _match_peaks(
 
 
 def _detect_rows(
-    samples: np.ndarray,
+    rows: list[np.ndarray],
     sample_rate: float,
     refs: ReferenceSet,
     cfg: DetectorConfig,
 ) -> list[DetectionResult | NoSignalError]:
-    """detect_batch on one (rows, n) chunk sampled at one rate."""
-    normalized, dead = _normalize(_band_envelope(samples, sample_rate, cfg), cfg)
+    """detect_batch on one chunk of same-length rows sampled at one rate.
+
+    The envelope is scaled, floored and searched for peaks in place, in
+    this thread's workspace.
+    """
+    envelope, scratch = _band_envelope(rows, sample_rate, cfg)
+    dead = _normalize(envelope, cfg, scratch)
+    empty = envelope.shape[1] == 0
     outcomes: list[DetectionResult | NoSignalError | None] = []
     live: list[int] = []
     peak_lists: list[np.ndarray] = []
-    for row, times in enumerate(_peak_rows(normalized, sample_rate, cfg)):
+    for row, times in enumerate(_peak_rows(envelope, sample_rate, cfg)):
         if dead[row]:
-            outcomes.append(NoSignalError("all-zero trace cannot be normalized"))
+            outcomes.append(NoSignalError(
+                f"{'empty' if empty else 'all-zero'} trace cannot be normalized"
+            ))
         elif times.size == 0:
             outcomes.append(NoSignalError("no peaks above the amplitude floor"))
         elif times.size < cfg.min_peaks:
@@ -538,8 +598,8 @@ def detect_batch(
     for (_, sample_rate), members in groups.items():
         for start in range(0, len(members), _CHUNK_ROWS):
             chunk = members[start : start + _CHUNK_ROWS]
-            samples = np.stack([traces[i].samples for i in chunk])
-            for i, outcome in zip(chunk, _detect_rows(samples, sample_rate, refs, cfg)):
+            rows = [traces[i].samples for i in chunk]
+            for i, outcome in zip(chunk, _detect_rows(rows, sample_rate, refs, cfg)):
                 outcomes[i] = outcome
     return outcomes
 

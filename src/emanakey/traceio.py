@@ -2,9 +2,9 @@
 
 Trace files ("EMTR") hold a fixed-offset float32 little-endian sample
 payload followed by a UTF-8 JSON metadata block (ground truth, preset
-snapshot, seed). Reference files ("EMRF") pack each key's slots 8 per
-byte, MSB first. Everything is little-endian so hashes are stable across
-platforms.
+snapshot, seed, repeat; a file without a repeat reads as None). Reference
+files ("EMRF") pack each key's slots 8 per byte, MSB first. Everything is
+little-endian so hashes are stable across platforms.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ def write_trace(trace: EmanationTrace, path: str | Path) -> None:
         "ground_truth": trace.ground_truth.label if trace.ground_truth else None,
         "preset": trace.preset.to_dict() if trace.preset else None,
         "seed": trace.seed,
+        "repeat": trace.repeat,
     }
     header = _TRACE_HEADER.pack(
         TRACE_MAGIC,
@@ -95,6 +96,7 @@ def read_trace(path: str | Path) -> EmanationTrace:
         ground_truth=None if label is None else key_by_label(label),
         preset=None if preset is None else preset_from_document(preset, path),
         seed=meta.get("seed"),
+        repeat=meta.get("repeat"),
     )
 
 

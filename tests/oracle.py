@@ -20,6 +20,7 @@ scored against every reference through a 3-D elementwise `!=` tensor.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy import signal as sp_signal
@@ -29,8 +30,11 @@ from emanakey.bits import DIFFERENTIAL_LEVEL, LineState
 from emanakey.channel import (
     DEFAULT_PAD_S,
     DEFAULT_SAMPLE_RATE,
+    GLITCH_BURST_FREQ_HZ,
+    GLITCH_BURST_SIGMA_S,
     Interferer,
     PulseShape,
+    _robust_max,
 )
 from emanakey.detector import DEFAULT_CONFIG, DetectionResult, _bandpass_taps
 from emanakey.edges import EdgeSeries, ReferenceSet
@@ -164,6 +168,36 @@ def interference_oracle(
         if f < nyquist_guard:
             out += amp * np.cos(2 * np.pi * f * t + ph)
     return out
+
+
+def glitch_burst_oracle(amplitude: float, sample_rate: float) -> np.ndarray:
+    """The burst evaluated directly: amplitude * Gaussian * carrier."""
+    half = int(round(4 * GLITCH_BURST_SIGMA_S * sample_rate))
+    t = np.arange(-half, half + 1) / sample_rate
+    env = np.exp(-0.5 * (t / GLITCH_BURST_SIGMA_S) ** 2)
+    return amplitude * env * np.cos(2 * np.pi * GLITCH_BURST_FREQ_HZ * t)
+
+
+def inject_glitch_oracle(trace, count, amplitude=(2.5, 4.0), seed=0, base_amplitude=None):
+    """inject_glitch at seeded-random positions, copying the samples twice
+    (to float64, then before adding) and building each burst directly."""
+    if count == 0:
+        return trace
+    lo_amp, hi_amp = (amplitude, amplitude) if np.isscalar(amplitude) else amplitude
+    if base_amplitude is None:
+        base_amplitude = _robust_max(trace.samples)
+    rng = np.random.default_rng(seed)
+    samples = trace.samples.astype(np.float64)
+    out = samples.copy()
+    idx = rng.integers(1, max(2, samples.size - 1), size=count)
+    factors = rng.uniform(lo_amp, hi_amp, size=count)
+    signs = rng.choice([-1.0, 1.0], size=count)
+    for i, f, s in zip(idx, factors, signs):
+        burst = glitch_burst_oracle(s * f * base_amplitude, trace.sample_rate)
+        half = burst.size // 2
+        lo, hi = max(0, i - half), min(samples.size, i + half + 1)
+        out[lo:hi] += burst[half - (i - lo) : half + (hi - i)]
+    return replace(trace, samples=out)
 
 
 def _band_envelope_oracle(x: np.ndarray, sample_rate: float, cfg) -> np.ndarray:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,16 @@ from emanakey import (
     synth_dataset,
 )
 from emanakey import channel
-from emanakey.channel import KNEE_GAIN_DB, _interference, clean_waveform
+from emanakey.channel import KNEE_GAIN_DB, _glitch_burst, _interference, clean_waveform
 from emanakey.edges import EdgeSeries
 from emanakey.keys import KEYS
 
-from oracle import interference_oracle, radiate_oracle
+from oracle import (
+    glitch_burst_oracle,
+    inject_glitch_oracle,
+    interference_oracle,
+    radiate_oracle,
+)
 
 FS = 250e6
 
@@ -275,6 +282,85 @@ def test_synth_dataset_within_one_float32_step_of_per_tone_synthesis(name, monke
         assert trace.samples.shape == want.samples.shape
         step = np.spacing(np.abs(want.samples).max())
         assert np.all(np.abs(trace.samples - want.samples) <= step)
+
+
+def _matvec_interference(interferer, n, sample_rate, rng):
+    """_interference as one matvec per table, whatever the tone count."""
+    guard = 0.48 * sample_rate
+    if interferer.bandwidth_hz <= 0:
+        if interferer.center_hz >= guard:
+            return np.zeros(n)
+        freqs = np.array([interferer.center_hz])
+    else:
+        half = interferer.bandwidth_hz / 2
+        freqs = np.linspace(
+            interferer.center_hz - half, interferer.center_hz + half, channel.COMB_TONES
+        )
+    phases = rng.uniform(0, 2 * np.pi, freqs.size)
+    amp = np.sqrt(2.0 * interferer.power / freqs.size)
+    keep = freqs < guard
+    cos_t, sin_t = channel._tone_table(tuple(freqs[keep].tolist()), n, sample_rate)
+    return (amp * np.cos(phases[keep])) @ cos_t - (amp * np.sin(phases[keep])) @ sin_t
+
+
+@pytest.mark.parametrize("rate", [100e6, 250e6, 500e6])
+def test_single_tone_interference_is_the_matvec_bit_for_bit(rate):
+    guard = 0.48 * rate
+    bw = 15e6
+    # A comb whose lowest tone alone lies below the guard keeps one tone too.
+    edge_comb = Interferer(guard - bw / 30 + bw / 2, bw, 2e-10)
+    tone = Interferer(0.3 * rate, 0.0, 1e-9)
+    interferers = [*_builtin_interferers(), edge_comb, tone]
+    n = clean_waveform(KEYS[0], sample_rate=rate).size
+    for interferer in interferers:
+        for seed in range(4):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _interference(interferer, n, rate, rng)
+            want = _matvec_interference(interferer, n, rate, ref_rng)
+            assert np.array_equal(got, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("rate", [100e6, 250e6, 500e6])
+def test_glitch_burst_is_the_direct_formula(rate):
+    for amplitude in (1.0, -3.7, 0.5, 2.5e-4):
+        burst = _glitch_burst(amplitude, rate)
+        assert np.array_equal(burst, glitch_burst_oracle(amplitude, rate))
+        burst += 1.0  # a caller's burst is its own: the cached shape is untouched
+    assert np.array_equal(_glitch_burst(1.0, rate), glitch_burst_oracle(1.0, rate))
+
+
+@pytest.mark.parametrize("base_amplitude", [None, 0.02])
+def test_inject_glitch_equals_two_copy_path(base_amplitude):
+    traces = synth_dataset(
+        list(KEYS[::7]), get_preset("open-space-3m"), repeats=1, master_seed=12
+    )
+    for i, trace in enumerate(traces):
+        before = trace.samples.copy()
+        for count in (1, 2, 8):
+            seed = i * 7919 + count
+            got = inject_glitch(trace, count, seed=seed, base_amplitude=base_amplitude)
+            want = inject_glitch_oracle(
+                trace, count, seed=seed, base_amplitude=base_amplitude
+            )
+            assert got == want
+        assert np.array_equal(trace.samples, before)
+
+
+@pytest.mark.parametrize("name", available_presets())
+def test_synth_dataset_equals_per_trace_channel_composition(name):
+    # One construction per trace: the bits of apply_channel and then
+    # replace(seed=...), plus the repeat index.
+    preset = get_preset(name)
+    keys = list(KEYS[::5])
+    traces = synth_dataset(keys, preset, repeats=2, master_seed=41)
+    expected = []
+    for r in range(2):
+        for key in keys:
+            rng = np.random.default_rng([41, key.index, r])
+            trace = apply_channel(clean_waveform(key), preset, ground_truth=key, rng=rng)
+            expected.append(replace(trace, seed=41, repeat=r))
+    assert traces == expected
 
 
 # --- datasets ------------------------------------------------------------

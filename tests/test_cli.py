@@ -73,6 +73,20 @@ def test_detect_no_signal_exit_code(tmp_path, capsys):
     assert "NO-SIGNAL" in stdout
 
 
+def test_detect_zero_sample_trace_exits_no_signal(tmp_path, capsys):
+    import emanakey
+
+    empty = emanakey.EmanationTrace(
+        samples=np.zeros(0, dtype=np.float32), sample_rate=250e6
+    )
+    path = tmp_path / "empty.emtr"
+    emanakey.write_trace(empty, path)
+    rc, stdout, stderr = run(["detect", "--trace", str(path)], capsys)
+    assert rc == 4
+    assert "NO-SIGNAL" in stdout
+    assert "Traceback" not in stderr
+
+
 def test_synth_unknown_preset_lists_options(tmp_path, capsys):
     rc, _, stderr = run(
         ["synth", "--keys", "a", "--preset", "mars", "--out-dir", str(tmp_path)],

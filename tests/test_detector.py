@@ -133,7 +133,7 @@ def test_bandpass_requires_adequate_rate():
 
 def test_fused_envelope_matches_composition():
     trace = identity_trace("g")
-    fused = _band_envelope(trace.samples, FS, CFG)
+    fused = _band_envelope([trace.samples], FS, CFG)[0][0]
     composed = amplitude_envelope(bandpass(trace.samples, FS, CFG))
     peak = composed.max()
     assert np.abs(fused[400:-400] - composed[400:-400]).max() < 1e-3 * peak
@@ -243,7 +243,7 @@ def test_peaks_below_floor_ignored():
 
 def test_peak_count_matches_reference_on_clean_trace(refs):
     trace = identity_trace("a")
-    envelope = _band_envelope(trace.samples, FS, CFG)
+    envelope = _band_envelope([trace.samples], FS, CFG)[0][0]
     peaks = threshold_and_peaks(normalize(envelope), FS)
     assert peaks.size == refs[key_by_label("a")].ones
 
@@ -252,7 +252,7 @@ def test_no_peak_pair_violates_separation_on_detection(refs):
     preset = get_preset("open-space-3.8m")
     clean = radiate(build_keystroke_transaction(key_by_label("w")))
     trace = apply_channel(clean, preset, FS, rng=np.random.default_rng(42))
-    envelope = _band_envelope(trace.samples, FS, CFG)
+    envelope = _band_envelope([trace.samples], FS, CFG)[0][0]
     peaks = threshold_and_peaks(normalize(envelope), FS)
     min_gap = np.diff(peaks).min()
     assert min_gap >= (2 / 3) * (1 / 12e6) * 0.999
@@ -577,3 +577,107 @@ def test_detect_batch_row_with_fewer_peaks_than_anchors(refs, offset_search):
     got = detect_batch(traces, padded, cfg)
     assert got == [detect_oracle(t, padded, cfg) for t in traces]
     assert got[1].detected_edges.ones <= 2
+
+
+# --- empty traces and the per-thread chunk workspace -------------------------
+
+
+def test_zero_sample_trace_is_no_signal(refs):
+    empty = EmanationTrace(samples=np.zeros(0), sample_rate=FS)
+    good = synth_dataset(
+        list(KEYS[:5]), get_preset("open-space-3m"), repeats=1, master_seed=21
+    )
+    got = detect_batch([good[0], empty, *good[1:], empty], refs)
+    assert isinstance(got[1], NoSignalError)
+    assert isinstance(got[-1], NoSignalError)
+    assert [_outcome(r) for r in [got[0], *got[2:-1]]] == [
+        _oracle_outcome(t, refs) for t in good
+    ]
+    with pytest.raises(NoSignalError):
+        detect(empty, refs)
+    with pytest.raises(DegenerateTraceError):
+        normalize(np.zeros(0))
+
+
+def _long_trace():
+    """One 250,000-sample capture (1 ms at 250 MS/s) holding one keystroke."""
+    clean = radiate(build_keystroke_transaction(key_by_label("k")))
+    window = np.zeros(250_000)
+    window[100_000 : 100_000 + clean.size] = clean
+    return apply_channel(
+        window, get_preset("open-space-2.5m"), FS, rng=np.random.default_rng(3)
+    )
+
+
+def _mixed_length_dataset(seed):
+    traces = synth_dataset(
+        list(KEYS), get_preset("open-space-3m"), repeats=1, master_seed=seed
+    )
+    lengths = [t.samples.size for t in traces]
+    assert set(lengths) == {3000, 3021}
+    assert max(lengths.count(n) for n in set(lengths)) > _CHUNK_ROWS
+    return traces
+
+
+def test_concurrent_detect_batch_equals_serial(refs):
+    import sys
+    import threading
+
+    datasets = [_mixed_length_dataset(31), _mixed_length_dataset(32), [_long_trace()]]
+    serial = [[_outcome(r) for r in detect_batch(ds, refs)] for ds in datasets]
+    calls = 3
+    results: dict[tuple[int, int], tuple[int, list]] = {}
+    errors: list[BaseException] = []
+
+    def worker(w):
+        try:
+            for j in range(calls):
+                d = (w + j) % len(datasets)
+                results[w, j] = d, [_outcome(r) for r in detect_batch(datasets[d], refs)]
+        except Exception as exc:  # reported below, on the test's thread
+            errors.append(exc)
+
+    # More threads than this test needs cores, switching as often as the
+    # interpreter allows, so the threads' chunks interleave.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 4 * calls
+    for d, got in results.values():
+        assert got == serial[d]
+
+
+def test_other_fft_size_between_batches_changes_no_result(refs):
+    traces = _mixed_length_dataset(33)
+    expected = [_oracle_outcome(t, refs) for t in traces]
+    assert [_outcome(r) for r in detect_batch(traces, refs)] == expected
+    detect(_long_trace(), refs)
+    detect_batch([t for t in traces[:40] if t.samples.size == 3000][:3] + [
+        EmanationTrace(samples=traces[0].samples[:1500], sample_rate=FS)
+    ], refs)
+    assert [_outcome(r) for r in detect_batch(traces, refs)] == expected
+
+
+def test_lone_detect_after_full_chunk_equals_oracle(refs):
+    # 3000 and 3021 samples share one FFT size, so a lone 3000-sample trace
+    # reuses the padded rows a 3021-sample chunk filled.
+    traces = _mixed_length_dataset(34)
+    long_rows = [t for t in traces if t.samples.size == 3021]
+    short = [t for t in traces if t.samples.size == 3000]
+    chunk = (long_rows * _CHUNK_ROWS)[:_CHUNK_ROWS]
+    detect_batch(chunk, refs)
+    for trace in short + long_rows[:3]:
+        try:
+            have = detect(trace, refs)
+        except NoSignalError as exc:
+            have = ("no-signal", str(exc))
+        assert have == _oracle_outcome(trace, refs)

@@ -57,6 +57,40 @@ def test_trace_roundtrip_without_metadata(tmp_path):
     assert back.preset is None
 
 
+def test_trace_file_regenerates_its_own_samples(tmp_path):
+    # The metadata names the noise stream: (seed, key index, repeat).
+    from emanakey import apply_channel, synth_dataset
+    from emanakey.channel import clean_waveform
+    from emanakey.keys import KEYS
+
+    preset = get_preset("office-12m")
+    traces = synth_dataset(list(KEYS[:3]), preset, repeats=2, master_seed=808)
+    assert [t.repeat for t in traces] == [0, 0, 0, 1, 1, 1]
+    for i, trace in enumerate(traces):
+        path = tmp_path / f"{i}.emtr"
+        write_trace(trace, path)
+        back = read_trace(path)
+        assert back == trace
+        key = back.ground_truth
+        rng = np.random.default_rng([back.seed, key.index, back.repeat])
+        again = apply_channel(clean_waveform(key), back.preset, rng=rng)
+        assert np.array_equal(again.samples, back.samples)
+
+
+def test_trace_file_without_repeat_reads_as_none(tmp_path):
+    trace = make_trace(n=16)
+    path = tmp_path / "t.emtr"
+    write_trace(trace, path)
+    raw = path.read_bytes()
+    payload_end = _TRACE_HEADER.size + 4 * trace.samples.size
+    meta = json.loads(raw[payload_end:])
+    assert meta.pop("repeat") is None
+    path.write_bytes(raw[:payload_end] + json.dumps(meta, sort_keys=True).encode())
+    back = read_trace(path)
+    assert back.repeat is None
+    assert back == trace
+
+
 def test_trace_bad_magic(tmp_path):
     path = tmp_path / "x.emtr"
     write_trace(make_trace(), path)
