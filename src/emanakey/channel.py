@@ -333,18 +333,25 @@ def apply_channel(
     ground_truth: KeyId | None = None,
     rng: np.random.Generator | None = None,
     *,
-    seed: int | None = None,
-    repeat: int | None = None,
+    stream: tuple[int, int] | None = None,
 ) -> EmanationTrace:
     """Deterministic channel given (preset, seed).
 
     trace = clean * preset.signal_scale + white noise + interferers + glitches
 
-    Without ``rng`` the noise stream is seeded from the preset's seed. The
-    trace records ``seed`` (by default the preset's) and ``repeat`` as the
-    provenance of its stream; they do not seed ``rng``.
+    The noise comes from ``rng``; without it, from the stream
+    default_rng([master seed, key index, repeat]) when ``stream`` gives
+    (master seed, repeat), else from the preset's seed. A trace made from
+    ``stream`` records its master seed and repeat, so it can be made
+    again from its own metadata.
     """
-    if rng is None:
+    seed, repeat = preset.seed, None
+    if stream is not None:
+        if rng is not None or ground_truth is None:
+            raise ValueError("stream needs a ground truth and no rng")
+        seed, repeat = stream
+        rng = np.random.default_rng([seed, ground_truth.index, repeat])
+    elif rng is None:
         rng = np.random.default_rng(preset.seed)
     signal = np.asarray(clean, dtype=np.float64) * preset.signal_scale
     signal_peak = float(np.max(np.abs(signal), initial=0.0))
@@ -368,7 +375,7 @@ def apply_channel(
         sample_rate=sample_rate,
         ground_truth=ground_truth,
         preset=preset,
-        seed=preset.seed if seed is None else seed,
+        seed=seed,
         repeat=repeat,
     )
 
@@ -431,10 +438,9 @@ def synth_dataset(
     traces = []
     for r in range(repeats):
         for key in keys:
-            rng = np.random.default_rng([seed, key.index, r])
             traces.append(apply_channel(
                 clean_waveform(key, pulse, sample_rate), preset, sample_rate,
-                ground_truth=key, rng=rng, seed=seed, repeat=r,
+                ground_truth=key, stream=(seed, r),
             ))
     return traces
 

@@ -202,7 +202,8 @@ class _Workspace:
     A 32-row chunk needs about 4 MB of temporaries. Blocks that large go
     back to the OS when freed, so fresh ones would be faulted in again on
     every chunk. Each buffer is nfft wide, so any trace length that maps
-    to this FFT size fits.
+    to this FFT size fits. A thread keeps a workspace between calls only
+    if each buffer has at most _KEPT_CELLS cells.
     """
 
     def __init__(self, rows: int, nfft: int):
@@ -210,20 +211,25 @@ class _Workspace:
         self.padded = np.empty((rows, nfft))  # input rows, zero-padded
         self.spectrum = np.empty((rows, nfft), dtype=complex)
         self.envelope = np.empty((rows, nfft))
-        self.scratch = np.empty((rows, nfft))  # |x| partitioned for the scale
 
 
 _local = threading.local()
 
 
 def _workspace(rows: int, nfft: int) -> _Workspace:
-    """This thread's workspace, with at least ``rows`` rows of FFT size ``nfft``.
+    """A workspace with at least ``rows`` rows of FFT size ``nfft``.
 
-    It is replaced when the FFT size changes or a larger chunk arrives.
+    This thread's kept workspace serves the chunk if it fits; it is
+    replaced when the FFT size changes or a larger chunk arrives. A chunk
+    above _KEPT_CELLS gets a workspace of its own, freed with the call,
+    and the kept one stays.
     """
     ws = getattr(_local, "workspace", None)
-    if ws is None or ws.nfft != nfft or ws.padded.shape[0] < rows:
-        ws = _local.workspace = _Workspace(rows, nfft)
+    if ws is not None and ws.nfft == nfft and ws.padded.shape[0] >= rows:
+        return ws
+    ws = _Workspace(rows, nfft)
+    if rows * nfft <= _KEPT_CELLS:
+        _local.workspace = ws
     return ws
 
 
@@ -235,8 +241,8 @@ def _band_envelope(
     Numerically equivalent (away from the trace ends) to
     amplitude_envelope(bandpass(x)); each row gets the bits a chunk of one
     row gets. Returns the (rows, n) envelope and a scratch array of its
-    shape, both views into this thread's workspace that the thread's next
-    call overwrites.
+    shape, both views into a workspace that this thread's next call may
+    overwrite; the scratch is the padded input, dead once transformed.
     """
     if sample_rate <= 2 * cfg.band_high:
         raise SampleRateError(
@@ -261,7 +267,7 @@ def _band_envelope(
     np.fft.ifft(spectrum, out=spectrum)
     start = (cfg.filter_taps - 1) // 2  # 'same' alignment, group delay removed
     envelope = np.abs(spectrum[:, start : start + n], out=ws.envelope[:b, :n])
-    return envelope, ws.scratch[:b, :n]
+    return envelope, x[:, :n]
 
 
 def _percentile_rows(x: np.ndarray, q: float) -> np.ndarray:
@@ -574,6 +580,12 @@ def _detect_rows(
 # 3 MB higher, and one 1,024-row batch ran the envelope slower per row
 # than a single trace.
 _CHUNK_ROWS = 32
+
+# Cells (rows x nfft) of the largest workspace a thread keeps between
+# calls: a full chunk of sweep traces (nfft 3360) fits, at 32 bytes a
+# cell about 4 MB. A larger chunk, such as one 250,000-sample capture,
+# is rare enough to allocate per call and free with it.
+_KEPT_CELLS = _CHUNK_ROWS * 4096
 
 
 def detect_batch(

@@ -95,9 +95,17 @@ def read_trace(path: str | Path) -> EmanationTrace:
         sample_rate=float(rate),
         ground_truth=None if label is None else key_by_label(label),
         preset=None if preset is None else preset_from_document(preset, path),
-        seed=meta.get("seed"),
-        repeat=meta.get("repeat"),
+        seed=_int_or_none(meta, "seed", path),
+        repeat=_int_or_none(meta, "repeat", path),
     )
+
+
+def _int_or_none(meta: dict, key: str, path: str | Path) -> int | None:
+    """meta[key] if it is an int or missing/null; they name a noise stream."""
+    value = meta.get(key)
+    if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+        raise FileFormatError(f"{path}: metadata {key} {value!r} is not an integer")
+    return value
 
 
 def import_csv(path: str | Path, sample_rate: float) -> EmanationTrace:

@@ -363,6 +363,29 @@ def test_synth_dataset_equals_per_trace_channel_composition(name):
     assert traces == expected
 
 
+def test_apply_channel_stream_is_the_stream_it_records():
+    # stream=(master seed, repeat) seeds the noise, so the recorded seed
+    # and repeat always name the stream the samples came from.
+    preset, key = get_preset("office-12m"), KEYS[9]
+    trace = apply_channel(clean_waveform(key), preset, ground_truth=key, stream=(7, 3))
+    assert (trace.seed, trace.repeat) == (7, 3)
+    rng = np.random.default_rng([trace.seed, key.index, trace.repeat])
+    again = apply_channel(clean_waveform(key), preset, ground_truth=key, rng=rng)
+    assert np.array_equal(again.samples, trace.samples)
+    assert (again.seed, again.repeat) == (preset.seed, None)
+
+
+def test_apply_channel_stream_needs_a_key_and_no_rng():
+    preset, key = get_preset("office-12m"), KEYS[9]
+    with pytest.raises(ValueError, match="stream"):
+        apply_channel(clean_waveform(key), preset, stream=(7, 0))
+    with pytest.raises(ValueError, match="stream"):
+        apply_channel(
+            clean_waveform(key), preset, ground_truth=key,
+            rng=np.random.default_rng(7), stream=(7, 0),
+        )
+
+
 # --- datasets ------------------------------------------------------------
 
 

@@ -681,3 +681,16 @@ def test_lone_detect_after_full_chunk_equals_oracle(refs):
         except NoSignalError as exc:
             have = ("no-signal", str(exc))
         assert have == _oracle_outcome(trace, refs)
+
+
+def test_thread_keeps_no_workspace_above_a_full_sweep_chunk(refs):
+    # A full chunk of sweep traces stays in the thread for the next call;
+    # a 250,000-sample capture's buffers are freed with its call.
+    from emanakey import detector
+
+    detect_batch(_mixed_length_dataset(35), refs)
+    kept = detector._local.workspace
+    assert kept.padded.shape[0] >= _CHUNK_ROWS
+    assert kept.padded.size <= detector._KEPT_CELLS
+    detect(_long_trace(), refs)
+    assert detector._local.workspace is kept

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,21 @@ def test_trace_file_without_repeat_reads_as_none(tmp_path):
     back = read_trace(path)
     assert back.repeat is None
     assert back == trace
+
+
+@pytest.mark.parametrize("key", ["seed", "repeat"])
+@pytest.mark.parametrize("value", ["x", 1.5, [1], True])
+def test_trace_file_non_integer_stream_metadata_is_format_error(tmp_path, key, value):
+    trace = make_trace(n=16)
+    path = tmp_path / "t.emtr"
+    write_trace(trace, path)
+    raw = path.read_bytes()
+    payload_end = _TRACE_HEADER.size + 4 * trace.samples.size
+    meta = json.loads(raw[payload_end:])
+    meta[key] = value
+    path.write_bytes(raw[:payload_end] + json.dumps(meta).encode())
+    with pytest.raises(FileFormatError, match=f"{re.escape(str(path))}.*{key}"):
+        read_trace(path)
 
 
 def test_trace_bad_magic(tmp_path):
