@@ -95,6 +95,14 @@ class ChannelPreset:
             raise ValueError("shielding_db must lie in [0, 30]")
         if self.glitch_rate < 0:
             raise ValueError("glitch_rate must be >= 0")
+        if not self.noise_density >= 0:
+            raise ValueError("noise_density must be >= 0")
+        for interferer in self.interferers:
+            if not (interferer.bandwidth_hz >= 0 and interferer.power >= 0):
+                raise ValueError("interferer bandwidth and power must be >= 0")
+        low, high = self.glitch_amp
+        if not 0 <= low <= high:
+            raise ValueError("glitch_amp must be (low, high) with 0 <= low <= high")
 
     @property
     def signal_scale(self) -> float:
@@ -202,22 +210,20 @@ def radiate(
 
 
 @functools.lru_cache(maxsize=1024)
-def _clean_waveform(key: KeyId, pulse: PulseShape, sample_rate: float) -> np.ndarray:
+def _clean_waveform(key: KeyId, sample_rate: float) -> np.ndarray:
     frame = frames.build_keystroke_transaction(key)
-    out = radiate(frame, pulse=pulse, sample_rate=sample_rate)
+    out = radiate(frame, sample_rate=sample_rate)
     out.flags.writeable = False
     return out
 
 
-def clean_waveform(
-    key: KeyId, pulse: PulseShape | None = None, sample_rate: float = DEFAULT_SAMPLE_RATE
-) -> np.ndarray:
-    """The key's noiseless emanation at the default padding, built once.
+def clean_waveform(key: KeyId, sample_rate: float = DEFAULT_SAMPLE_RATE) -> np.ndarray:
+    """The key's noiseless emanation at the default pulse and padding, built once.
 
-    It depends only on the key, the pulse and the sample rate, so every
-    trace of a key shares one read-only array; only the channel varies.
+    It depends only on the key and the sample rate, so every trace of a
+    key shares one read-only array; only the channel varies.
     """
-    return _clean_waveform(key, pulse or PulseShape(), sample_rate)
+    return _clean_waveform(key, sample_rate)
 
 
 COMB_TONES = 16
@@ -331,7 +337,6 @@ def apply_channel(
     preset: ChannelPreset,
     sample_rate: float = DEFAULT_SAMPLE_RATE,
     ground_truth: KeyId | None = None,
-    rng: np.random.Generator | None = None,
     *,
     stream: tuple[int, int] | None = None,
 ) -> EmanationTrace:
@@ -339,20 +344,20 @@ def apply_channel(
 
     trace = clean * preset.signal_scale + white noise + interferers + glitches
 
-    The noise comes from ``rng``; without it, from the stream
-    default_rng([master seed, key index, repeat]) when ``stream`` gives
-    (master seed, repeat), else from the preset's seed. A trace made from
-    ``stream`` records its master seed and repeat, so it can be made
-    again from its own metadata.
+    The noise comes from the stream default_rng([master seed, key index,
+    repeat]) when ``stream`` gives (master seed, repeat), else from
+    default_rng(preset.seed). The trace records the seed and repeat
+    (None without ``stream``) it used, so it can be made again from its
+    own preset, seed, repeat and key.
     """
-    seed, repeat = preset.seed, None
-    if stream is not None:
-        if rng is not None or ground_truth is None:
-            raise ValueError("stream needs a ground truth and no rng")
+    if stream is None:
+        seed, repeat = preset.seed, None
+        rng = np.random.default_rng(seed)
+    else:
+        if ground_truth is None:
+            raise ValueError("stream needs a ground truth")
         seed, repeat = stream
         rng = np.random.default_rng([seed, ground_truth.index, repeat])
-    elif rng is None:
-        rng = np.random.default_rng(preset.seed)
     signal = np.asarray(clean, dtype=np.float64) * preset.signal_scale
     signal_peak = float(np.max(np.abs(signal), initial=0.0))
     out = signal
@@ -422,7 +427,6 @@ def synth_dataset(
     repeats: int = 2,
     sample_rate: float = DEFAULT_SAMPLE_RATE,
     master_seed: int | None = None,
-    pulse: PulseShape | None = None,
 ) -> list[EmanationTrace]:
     """Labeled traces for every (key, repeat), independent noise streams.
 
@@ -439,7 +443,7 @@ def synth_dataset(
     for r in range(repeats):
         for key in keys:
             traces.append(apply_channel(
-                clean_waveform(key, pulse, sample_rate), preset, sample_rate,
+                clean_waveform(key, sample_rate), preset, sample_rate,
                 ground_truth=key, stream=(seed, r),
             ))
     return traces

@@ -2,8 +2,7 @@
 
 Commands: gen-refs, synth, detect, sweep, bench, show-frame. Exit codes:
 0 success, 2 usage error (argparse), 3 data/file error, 4 detection
-failure (no usable signal). EMANAKEY_SEED overrides the default master
-seed for synthesis commands.
+failure (no usable signal).
 """
 
 from __future__ import annotations
@@ -36,13 +35,6 @@ from .traceio import (
 EXIT_OK = 0
 EXIT_DATA = 3
 EXIT_NO_SIGNAL = 4
-
-
-def _master_seed(args_seed: int | None) -> int | None:
-    if args_seed is not None:
-        return args_seed
-    env = os.environ.get("EMANAKEY_SEED")
-    return int(env) if env else None
 
 
 def _atomic_write(path: Path, writer) -> None:
@@ -129,7 +121,7 @@ def cmd_synth(args) -> int:
         preset,
         repeats=args.repeats,
         sample_rate=args.sample_rate,
-        master_seed=_master_seed(args.seed),
+        master_seed=args.seed,
     )
     for i, trace in enumerate(traces):
         repeat, key = divmod(i, len(keys))
@@ -190,18 +182,17 @@ def cmd_detect(args) -> int:
 def cmd_sweep(args) -> int:
     refs = _load_refs(args.refs)
     cfg = _load_config(args.config)
-    seed = _master_seed(args.seed)
     if args.noise_grid:
         report = run_noise_sweep(
-            args.noise_grid, refs, repeats=args.repeats, cfg=cfg, master_seed=seed
+            args.noise_grid, refs, repeats=args.repeats, cfg=cfg, master_seed=args.seed
         )
     elif args.glitch_grid:
         report = run_glitch_sweep(
-            args.glitch_grid, refs, repeats=args.repeats, cfg=cfg, master_seed=seed
+            args.glitch_grid, refs, repeats=args.repeats, cfg=cfg, master_seed=args.seed
         )
     else:
         report = run_preset_sweep(
-            args.preset_grid, refs, repeats=args.repeats, cfg=cfg, master_seed=seed
+            args.preset_grid, refs, repeats=args.repeats, cfg=cfg, master_seed=args.seed
         )
     out = Path(args.out)
     _atomic_write(out, lambda tmp: write_report(report, tmp, fmt=args.format))

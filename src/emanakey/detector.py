@@ -25,7 +25,7 @@ import json
 import math
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -43,6 +43,9 @@ from .errors import (
     SampleRateError,
 )
 from .keys import KeyId
+
+
+_INT_FIELDS = ("offset_search", "anchor_candidates", "filter_taps", "min_peaks")
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,26 @@ class DetectorConfig:
     min_peaks: int = 10  # fewer detected peaks -> no-signal error
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "zero_floor" and value is None:
+                continue
+            integer = f.name in _INT_FIELDS
+            if isinstance(value, bool) or not isinstance(
+                value, int if integer else (int, float)
+            ):
+                kind = "an integer" if integer else "a number"
+                raise TypeError(f"{f.name} must be {kind}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
+        for name in ("band_low", "amplitude", "bit_rate", "anchor_candidates", "filter_taps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("offset_search", "min_peaks"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.zero_floor is not None and self.zero_floor <= 0:
+            raise ValueError("zero_floor must be > 0 or None")
         if self.band_low >= self.band_high:
             raise ValueError("band_low must be below band_high")
         if not 0 < self.skip_fraction < 0.5:
@@ -364,28 +387,23 @@ def form_edge_series(
     peak_times: np.ndarray,
     reference: EdgeSeries,
     cfg: DetectorConfig = DEFAULT_CONFIG,
-    anchor_time: float | None = None,
-    anchor_slot: int = 0,
 ) -> EdgeSeries:
     """Binary series over the reference's slot grid.
 
-    The grid puts ``anchor_slot`` at ``anchor_time`` (default: the first
-    peak at slot 0). A slot reads '1' when any peak lies within the
-    proximity window of its boundary; peaks drift, so proximity rather
-    than exact coincidence decides.
+    The grid puts slot 0 at the first peak. A slot reads '1' when any
+    peak lies within the proximity window of its boundary; peaks drift,
+    so proximity rather than exact coincidence decides.
     """
     peak_times = np.asarray(peak_times, dtype=np.float64)
     if peak_times.size == 0:
         raise NoSignalError("cannot form an edge series from zero peaks")
-    anchor = peak_times[0] if anchor_time is None else anchor_time
+    anchor = peak_times[0]
     bit = reference.bit_width
     slots = _grid_slots(
         peak_times[None, :], np.array([[anchor]], dtype=np.float64),
-        np.array([anchor_slot]), bit, len(reference), cfg.proximity_window,
+        np.array([0]), bit, len(reference), cfg.proximity_window,
     )
-    return EdgeSeries(
-        slots=slots[0, 0], bit_width=bit, origin=anchor - anchor_slot * bit
-    )
+    return EdgeSeries(slots=slots[0, 0], bit_width=bit, origin=anchor)
 
 
 def _grid_slots(

@@ -13,8 +13,6 @@ peak detect) over a synthesized differential trace.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -23,7 +21,7 @@ from scipy import signal as sp_signal
 
 from .bits import DIFFERENTIAL_LEVEL, LineState
 from .errors import EmptySeriesError, SampleRateError
-from .frames import FULL_SPEED_BIT_RATE, Frame, PacketKind, build_keystroke_transaction
+from .frames import FULL_SPEED_BIT_RATE, Frame, build_keystroke_transaction
 from .keys import KEYS, KeyId
 
 DIFFERENTIAL_SWING_V = 3.3
@@ -37,6 +35,8 @@ WIRED_LOWPASS_CUTOFF_HZ = 5e6
 WIRED_LOWPASS_TAPS = 41
 WIRED_PEAK_THRESHOLD = 0.35
 WIRED_RISE_TIME_S = 8e-9
+WIRED_PAD_S = 1e-6
+REFERENCE_SAMPLE_RATE = 250e6  # the pipeline route's probe sampling rate
 PEAK_SEPARATION_BIT_FRACTION = 2.0 / 3.0
 
 
@@ -105,19 +105,14 @@ def edges_analytic(frame: Frame, window: str = "capture") -> EdgeSeries:
     )
 
 
-def simulate_probed_waveform(
-    frame: Frame,
-    sample_rate: float,
-    rise_time: float = WIRED_RISE_TIME_S,
-    pad: float = 1e-6,
-    window: str = "capture",
-) -> np.ndarray:
+def simulate_probed_waveform(frame: Frame, sample_rate: float) -> np.ndarray:
     """Differential voltage seen by wire probes across the data pair.
 
-    Trapezoidal +/-3.3 V (0 V during end-of-packet) with linear ramps of
-    ``rise_time`` centered on the bit boundaries, padded with idle line on
-    both sides. Probing the pair differentially keeps every state change
-    visible, including the half-swing end-of-packet transitions.
+    Trapezoidal +/-3.3 V (0 V during end-of-packet) over the capture
+    window, with linear ramps of WIRED_RISE_TIME_S centered on the bit
+    boundaries, padded with WIRED_PAD_S of idle line on both sides.
+    Probing the pair differentially keeps every state change visible,
+    including the half-swing end-of-packet transitions.
     """
     if sample_rate < 10 * frame.bit_rate:
         raise SampleRateError(
@@ -125,13 +120,14 @@ def simulate_probed_waveform(
         )
     bit = frame.bit_time
     levels = [
-        DIFFERENTIAL_LEVEL[s] * DIFFERENTIAL_SWING_V for s in frame.slot_states(window)
+        DIFFERENTIAL_LEVEL[s] * DIFFERENTIAL_SWING_V for s in frame.slot_states()
     ]
     idle = DIFFERENTIAL_LEVEL[LineState.J] * DIFFERENTIAL_SWING_V
     bounded = [idle] + levels + [idle]
 
     # Breakpoints for np.interp: each boundary contributes the end of the
-    # previous level and the start of the next, rise_time apart.
+    # previous level and the start of the next, the rise time apart.
+    rise_time, pad = WIRED_RISE_TIME_S, WIRED_PAD_S
     xp: list[float] = [-pad]
     fp: list[float] = [idle]
     for i in range(len(bounded) - 1):
@@ -150,9 +146,11 @@ def simulate_probed_waveform(
 
 
 @lru_cache(maxsize=8)
-def _wired_lowpass(taps: int, cutoff_hz: float, sample_rate: float) -> np.ndarray:
-    """The wire pipeline's lowpass FIR, designed once per (taps, cutoff, rate)."""
-    return _read_only(sp_signal.firwin(taps, cutoff_hz, fs=sample_rate))
+def _wired_lowpass(sample_rate: float) -> np.ndarray:
+    """The wire pipeline's lowpass FIR, designed once per sample rate."""
+    return _read_only(
+        sp_signal.firwin(WIRED_LOWPASS_TAPS, WIRED_LOWPASS_CUTOFF_HZ, fs=sample_rate)
+    )
 
 
 def wired_pipeline_edges(
@@ -160,9 +158,6 @@ def wired_pipeline_edges(
     sample_rate: float,
     bit_width: float = 1.0 / FULL_SPEED_BIT_RATE,
     expected_slots: int | None = None,
-    cutoff_hz: float = WIRED_LOWPASS_CUTOFF_HZ,
-    taps: int = WIRED_LOWPASS_TAPS,
-    threshold: float = WIRED_PEAK_THRESHOLD,
 ) -> EdgeSeries:
     """Wire-capture edge extraction: lowpass, differentiate, peak detect.
 
@@ -174,13 +169,13 @@ def wired_pipeline_edges(
     """
     x = np.asarray(waveform, dtype=np.float64)
     # Odd-length symmetric FIR + centered convolution = group delay removed.
-    filtered = np.convolve(x, _wired_lowpass(taps, cutoff_hz, sample_rate), mode="same")
+    filtered = np.convolve(x, _wired_lowpass(sample_rate), mode="same")
     deriv = np.abs(np.gradient(filtered))
 
     robust_max = np.percentile(deriv, 99.0)
     min_sep = max(1, int(round(PEAK_SEPARATION_BIT_FRACTION * bit_width * sample_rate)))
     peaks, _ = sp_signal.find_peaks(
-        deriv, height=threshold * robust_max, distance=min_sep
+        deriv, height=WIRED_PEAK_THRESHOLD * robust_max, distance=min_sep
     )
     if peaks.size == 0:
         raise EmptySeriesError("no derivative peaks found in probed waveform")
@@ -205,7 +200,6 @@ class ReferenceSet:
     entries: dict[KeyId, EdgeSeries]
     bit_rate: float
     method: str
-    config_hash: str = ""
 
     def __post_init__(self):
         widths = {e.bit_width for e in self.entries.values()}
@@ -260,64 +254,33 @@ class ReferenceSet:
         return _read_only((in_range - 2.0 * self.slot_matrix).T.copy())
 
 
-def _config_hash(params: dict) -> str:
-    blob = json.dumps(params, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+def build_reference_set(method: str = "analytic") -> ReferenceSet:
+    """Generate the reference series for all 70 keys, deterministically.
 
-
-def build_reference_set(
-    method: str = "analytic",
-    keys: tuple[KeyId, ...] = KEYS,
-    data_toggle: PacketKind = PacketKind.DATA0,
-    address: int = 1,
-    endpoint: int = 1,
-    gap_bits: int = 2,
-    sample_rate: float = 250e6,
-) -> ReferenceSet:
-    """Generate the reference series for every key, deterministically.
-
+    Each key's series comes from its DATA0 keystroke transaction.
     ``method="analytic"`` reads edges off the encoded line states;
-    ``method="pipeline"`` pushes a synthesized probe waveform through the
-    wire-capture pipeline. The two agree exactly on clean synthesis.
+    ``method="pipeline"`` pushes a probe waveform sampled at
+    REFERENCE_SAMPLE_RATE through the wire-capture pipeline. The two agree
+    exactly on clean synthesis.
     """
     if method not in ("analytic", "pipeline"):
         raise ValueError(f"method must be 'analytic' or 'pipeline', got {method!r}")
     entries: dict[KeyId, EdgeSeries] = {}
-    for key in keys:
-        frame = build_keystroke_transaction(
-            key,
-            data_toggle=data_toggle,
-            address=address,
-            endpoint=endpoint,
-            gap_bits=gap_bits,
-        )
+    for key in KEYS:
+        frame = build_keystroke_transaction(key)
         analytic = edges_analytic(frame)
         if method == "analytic":
             entries[key] = analytic
         else:
-            waveform = simulate_probed_waveform(frame, sample_rate)
+            waveform = simulate_probed_waveform(frame, REFERENCE_SAMPLE_RATE)
             series = wired_pipeline_edges(
                 waveform,
-                sample_rate,
+                REFERENCE_SAMPLE_RATE,
                 bit_width=frame.bit_time,
                 expected_slots=len(analytic),
             )
             entries[key] = replace(series, origin=0.0)
-    params = {
-        "method": method,
-        "data_toggle": data_toggle.name,
-        "address": address,
-        "endpoint": endpoint,
-        "gap_bits": gap_bits,
-        "sample_rate": sample_rate if method == "pipeline" else None,
-        "bit_rate": FULL_SPEED_BIT_RATE,
-    }
-    return ReferenceSet(
-        entries=entries,
-        bit_rate=FULL_SPEED_BIT_RATE,
-        method=method,
-        config_hash=_config_hash(params),
-    )
+    return ReferenceSet(entries=entries, bit_rate=FULL_SPEED_BIT_RATE, method=method)
 
 
 def pairwise_distance(a: EdgeSeries, b: EdgeSeries, shift: int = 0) -> int:

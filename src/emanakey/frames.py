@@ -36,8 +36,8 @@ FULL_SPEED_BIT_RATE = 12e6
 FRAME_BUDGET_S = 80e-6
 SYNC_BITS = (0, 0, 0, 0, 0, 0, 0, 1)
 
-DEFAULT_ADDRESS = 1
-DEFAULT_ENDPOINT = 1
+ADDRESS = 1
+ENDPOINT = 1
 DEFAULT_GAP_BITS = 2
 
 
@@ -171,25 +171,23 @@ class Frame:
 def build_keystroke_transaction(
     key: KeyId,
     data_toggle: PacketKind = PacketKind.DATA0,
-    address: int = DEFAULT_ADDRESS,
-    endpoint: int = DEFAULT_ENDPOINT,
     gap_bits: int = DEFAULT_GAP_BITS,
     include_sof: bool = False,
-    sof_frame_number: int = 0,
 ) -> Frame:
     """IN -> DATAx(report) -> ACK transaction for one keystroke.
 
-    The data toggle defaults to DATA0, the variant reference sets are
-    built from. ``include_sof`` prepends a start-of-frame token for
-    inspection purposes; it is not part of the capture window.
+    The keyboard sits at address 1, endpoint 1. The data toggle defaults
+    to DATA0, the variant reference sets are built from. ``include_sof``
+    prepends a start-of-frame token (frame number 0) for inspection
+    purposes; it is not part of the capture window.
     """
     if data_toggle not in _DATA_KINDS:
         raise ValueError("data_toggle must be DATA0 or DATA1")
     report = hid_report_for_key(key)
     packets: list[Packet] = []
     if include_sof:
-        packets.append(Packet(PacketKind.SOF, frame_number=sof_frame_number))
-    packets.append(Packet(PacketKind.IN, address=address, endpoint=endpoint))
+        packets.append(Packet(PacketKind.SOF, frame_number=0))
+    packets.append(Packet(PacketKind.IN, address=ADDRESS, endpoint=ENDPOINT))
     capture_start = len(packets)
     packets.append(Packet(data_toggle, payload=report.to_bytes()))
     packets.append(Packet(PacketKind.ACK))

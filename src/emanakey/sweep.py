@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import (
+    DEFAULT_SAMPLE_RATE,
     ChannelPreset,
     clean_waveform,
     get_preset,
@@ -24,6 +25,9 @@ from .edges import ReferenceSet
 from .errors import NoSignalError
 from .keys import KEYS, KeyId
 from .traceio import SweepReport, SweepRow
+
+NOISE_BASE_PRESET = "open-space-3.8m"  # the accuracy knee
+BENCH_PRESET = "open-space-3m"
 
 
 def _rows(
@@ -54,7 +58,7 @@ def _rows(
 
 def _report(
     kind: str, own: dict, rows: list[SweepRow], repeats: int, keys,
-    sample_rate: float, master_seed: int | None,
+    master_seed: int | None,
 ) -> SweepReport:
     """The config keys every sweep writes, around the kind's own keys."""
     config = {
@@ -62,7 +66,7 @@ def _report(
         **own,
         "repeats": repeats,
         "keys": len(keys),
-        "sample_rate": sample_rate,
+        "sample_rate": DEFAULT_SAMPLE_RATE,
         "master_seed": master_seed if master_seed is not None else "preset",
     }
     return SweepReport(rows, config=config)
@@ -70,18 +74,16 @@ def _report(
 
 def _preset_report(
     kind: str, own: dict, presets: list[ChannelPreset], refs: ReferenceSet,
-    repeats: int, cfg: DetectorConfig, keys, sample_rate: float,
-    master_seed: int | None,
+    repeats: int, cfg: DetectorConfig, keys, master_seed: int | None,
 ) -> SweepReport:
     """Synthesize and detect one dataset per preset."""
     rows: list[SweepRow] = []
     for preset in presets:
         traces = synth_dataset(
-            list(keys), preset, repeats=repeats, sample_rate=sample_rate,
-            master_seed=master_seed,
+            list(keys), preset, repeats=repeats, master_seed=master_seed
         )
         rows.extend(_rows(preset.name, preset, traces, refs, cfg))
-    return _report(kind, own, rows, repeats, keys, sample_rate, master_seed)
+    return _report(kind, own, rows, repeats, keys, master_seed)
 
 
 def run_preset_sweep(
@@ -90,14 +92,13 @@ def run_preset_sweep(
     repeats: int = 10,
     cfg: DetectorConfig = DEFAULT_CONFIG,
     keys: tuple[KeyId, ...] = KEYS,
-    sample_rate: float = 250e6,
     master_seed: int | None = None,
 ) -> SweepReport:
     """Accuracy over a ladder of named presets (or preset file paths)."""
     presets = [get_preset(name) for name in preset_names]
     return _preset_report(
         "preset", {"presets": ",".join(preset_names)},
-        presets, refs, repeats, cfg, keys, sample_rate, master_seed,
+        presets, refs, repeats, cfg, keys, master_seed,
     )
 
 
@@ -105,15 +106,13 @@ def run_noise_sweep(
     noise_densities: list[float],
     refs: ReferenceSet,
     gain_db: float | None = None,
-    base_preset: str = "open-space-3.8m",
     repeats: int = 10,
     cfg: DetectorConfig = DEFAULT_CONFIG,
     keys: tuple[KeyId, ...] = KEYS,
-    sample_rate: float = 250e6,
     master_seed: int | None = None,
 ) -> SweepReport:
-    """Accuracy versus noise density at fixed gain."""
-    base = get_preset(base_preset)
+    """Accuracy versus noise density at fixed gain, on NOISE_BASE_PRESET."""
+    base = get_preset(NOISE_BASE_PRESET)
     if gain_db is not None:
         base = replace(base, gain_db=gain_db)
     presets = [
@@ -121,8 +120,8 @@ def run_noise_sweep(
         for density in noise_densities
     ]
     return _preset_report(
-        "noise", {"base_preset": base_preset, "gain_db": base.gain_db},
-        presets, refs, repeats, cfg, keys, sample_rate, master_seed,
+        "noise", {"base_preset": NOISE_BASE_PRESET, "gain_db": base.gain_db},
+        presets, refs, repeats, cfg, keys, master_seed,
     )
 
 
@@ -133,7 +132,6 @@ def run_glitch_sweep(
     repeats: int = 4,
     cfg: DetectorConfig = DEFAULT_CONFIG,
     keys: tuple[KeyId, ...] = KEYS,
-    sample_rate: float = 250e6,
     master_seed: int | None = None,
 ) -> SweepReport:
     """Accuracy versus injected glitch count on top of a base preset.
@@ -144,15 +142,11 @@ def run_glitch_sweep(
     """
     base = get_preset(base_preset)
     signal_peak = {
-        key: float(np.abs(clean_waveform(key, sample_rate=sample_rate)).max())
-        * base.signal_scale
+        key: float(np.abs(clean_waveform(key)).max()) * base.signal_scale
         for key in dict.fromkeys(keys)
     }
     # inject_glitch copies the samples, so every count shares one dataset.
-    traces = synth_dataset(
-        list(keys), base, repeats=repeats, sample_rate=sample_rate,
-        master_seed=master_seed,
-    )
+    traces = synth_dataset(list(keys), base, repeats=repeats, master_seed=master_seed)
     rows: list[SweepRow] = []
     for count in glitch_counts:
         glitched = [
@@ -167,7 +161,7 @@ def run_glitch_sweep(
         "base_preset": base_preset,
         "counts": ",".join(str(c) for c in glitch_counts),
     }
-    return _report("glitch", own, rows, repeats, keys, sample_rate, master_seed)
+    return _report("glitch", own, rows, repeats, keys, master_seed)
 
 
 def bench_detect(
@@ -175,14 +169,14 @@ def bench_detect(
     cfg: DetectorConfig = DEFAULT_CONFIG,
     iterations: int = 200,
     sample_rate: float = 250e6,
-    preset_name: str = "open-space-3m",
 ) -> dict:
-    """Wall-clock per-detection latency, synthesis and I/O excluded.
+    """Wall-clock per-detection latency on BENCH_PRESET traces, synthesis
+    and I/O excluded.
 
     The polling interval gives the real-time budget: a detector must keep
     up with one report frame per millisecond.
     """
-    preset = get_preset(preset_name)
+    preset = get_preset(BENCH_PRESET)
     keys = list(KEYS)
     traces = synth_dataset(keys, preset, repeats=1, sample_rate=sample_rate)
     detect(traces[0], refs, cfg)  # warm caches
@@ -198,7 +192,7 @@ def bench_detect(
     arr = np.asarray(times)
     return {
         "iterations": iterations,
-        "preset": preset_name,
+        "preset": BENCH_PRESET,
         "sample_rate": sample_rate,
         "mean_ms": float(arr.mean() * 1e3),
         "p50_ms": float(np.percentile(arr, 50) * 1e3),

@@ -171,9 +171,7 @@ def read_reference_set(path: str | Path) -> ReferenceSet:
         entries[key_by_index(key_index)] = EdgeSeries(
             slots=slots, bit_width=bit_width, origin=0.0
         )
-    return ReferenceSet(
-        entries=entries, bit_rate=float(bit_rate), method="file", config_hash=""
-    )
+    return ReferenceSet(entries=entries, bit_rate=float(bit_rate), method="file")
 
 
 # --- sweep reports ------------------------------------------------------

@@ -102,7 +102,7 @@ def test_radiate_edge_series_matches_oracle():
 def test_clean_waveform_is_built_once_and_read_only():
     key = key_by_label("a")
     wave = clean_waveform(key, sample_rate=FS)
-    assert clean_waveform(key, PulseShape(), FS) is wave
+    assert clean_waveform(key, FS) is wave
     assert np.array_equal(wave, make_clean("a"))
     with pytest.raises(ValueError):
         wave[0] = 1.0
@@ -349,41 +349,46 @@ def test_inject_glitch_equals_two_copy_path(base_amplitude):
 
 @pytest.mark.parametrize("name", available_presets())
 def test_synth_dataset_equals_per_trace_channel_composition(name):
-    # One construction per trace: the bits of apply_channel and then
-    # replace(seed=...), plus the repeat index.
+    # One construction per trace, repeats outermost, each from its own
+    # (master seed, key, repeat) stream.
     preset = get_preset(name)
     keys = list(KEYS[::5])
     traces = synth_dataset(keys, preset, repeats=2, master_seed=41)
-    expected = []
-    for r in range(2):
-        for key in keys:
-            rng = np.random.default_rng([41, key.index, r])
-            trace = apply_channel(clean_waveform(key), preset, ground_truth=key, rng=rng)
-            expected.append(replace(trace, seed=41, repeat=r))
+    expected = [
+        apply_channel(clean_waveform(key), preset, ground_truth=key, stream=(41, r))
+        for r in range(2)
+        for key in keys
+    ]
     assert traces == expected
 
 
 def test_apply_channel_stream_is_the_stream_it_records():
-    # stream=(master seed, repeat) seeds the noise, so the recorded seed
-    # and repeat always name the stream the samples came from.
-    preset, key = get_preset("office-12m"), KEYS[9]
-    trace = apply_channel(clean_waveform(key), preset, ground_truth=key, stream=(7, 3))
+    # The recorded seed and repeat always name the stream the samples came
+    # from: default_rng([seed, key index, repeat]) with a stream, else
+    # default_rng(preset seed) and no repeat.
+    key = KEYS[9]
+    clean = clean_waveform(key)
+    preset = replace(
+        get_preset("office-12m"), interferers=(), glitch_rate=0.0, seed=505
+    )
+    sigma = preset.noise_density * np.sqrt(FS / 2.0)
+
+    def noisy(rng):
+        noise = rng.normal(0.0, sigma, clean.size)
+        return (clean * preset.signal_scale + noise).astype(np.float32)
+
+    trace = apply_channel(clean, preset, ground_truth=key, stream=(7, 3))
     assert (trace.seed, trace.repeat) == (7, 3)
-    rng = np.random.default_rng([trace.seed, key.index, trace.repeat])
-    again = apply_channel(clean_waveform(key), preset, ground_truth=key, rng=rng)
-    assert np.array_equal(again.samples, trace.samples)
-    assert (again.seed, again.repeat) == (preset.seed, None)
+    assert np.array_equal(trace.samples, noisy(np.random.default_rng([7, key.index, 3])))
+    plain = apply_channel(clean, preset, ground_truth=key)
+    assert (plain.seed, plain.repeat) == (505, None)
+    assert np.array_equal(plain.samples, noisy(np.random.default_rng(505)))
 
 
-def test_apply_channel_stream_needs_a_key_and_no_rng():
+def test_apply_channel_stream_needs_a_key():
     preset, key = get_preset("office-12m"), KEYS[9]
     with pytest.raises(ValueError, match="stream"):
         apply_channel(clean_waveform(key), preset, stream=(7, 0))
-    with pytest.raises(ValueError, match="stream"):
-        apply_channel(
-            clean_waveform(key), preset, ground_truth=key,
-            rng=np.random.default_rng(7), stream=(7, 0),
-        )
 
 
 # --- datasets ------------------------------------------------------------
@@ -450,6 +455,14 @@ def test_preset_validation():
         ChannelPreset(name="bad", shielding_db=31.0)
     with pytest.raises(ValueError):
         ChannelPreset(name="bad", glitch_rate=-0.1)
+    with pytest.raises(ValueError):
+        ChannelPreset(name="bad", noise_density=-4e-9)
+    for bandwidth, power in ((0.0, -1e-12), (-1e6, 1e-12)):
+        with pytest.raises(ValueError):
+            ChannelPreset(name="bad", interferers=(Interferer(95e6, bandwidth, power),))
+    for glitch_amp in ((4.0, 2.5), (-1.0, 2.0)):
+        with pytest.raises(ValueError):
+            ChannelPreset(name="bad", glitch_rate=50.0, glitch_amp=glitch_amp)
 
 
 def test_unknown_preset_lists_available():

@@ -110,16 +110,14 @@ def test_synth_seed_reproducible(tmp_path, capsys):
     assert np.array_equal(t1.samples, t2.samples)
 
 
-def test_env_seed_override(tmp_path, capsys, monkeypatch):
+def test_seed_flag_selects_the_noise_stream(tmp_path, capsys):
     d1, d2 = tmp_path / "d1", tmp_path / "d2"
-    monkeypatch.setenv("EMANAKEY_SEED", "1234")
-    run(["synth", "--keys", "a", "--preset", "open-space-3m", "--repeats", "1",
-         "--out-dir", str(d1)], capsys)
-    monkeypatch.setenv("EMANAKEY_SEED", "5678")
-    run(["synth", "--keys", "a", "--preset", "open-space-3m", "--repeats", "1",
-         "--out-dir", str(d2)], capsys)
+    for seed, d in (("1234", d1), ("5678", d2)):
+        run(["synth", "--keys", "a", "--preset", "open-space-3m", "--repeats", "1",
+             "--seed", seed, "--out-dir", str(d)], capsys)
     t1 = read_trace(next(d1.glob("*.emtr")))
     t2 = read_trace(next(d2.glob("*.emtr")))
+    assert (t1.seed, t2.seed) == (1234, 5678)
     assert not np.array_equal(t1.samples, t2.samples)
 
 
@@ -278,15 +276,26 @@ def test_sweep_bad_grid_is_a_usage_error(tmp_path, capsys, flag, spec):
         ("config", '{"min_peak": 3}'),
         ("config", '{"filter_taps": 100}'),
         ("config", '{"band_low_hz": "low"}'),
+        ("config", '{"anchor_candidates": 0}'),
+        ("config", '{"offset_search_slots": -1}'),
+        ("config", '{"min_peaks": "12"}'),
+        ("config", '{"bit_rate_bps": 0}'),
         ("preset", "{"),
         ("preset", '[{"name": "x"}]'),
         ("preset", '{"name": "x", "distance_m": 3}'),
         ("preset", '{"name": "x", "shielding_db": 99}'),
+        ("preset", '{"name": "x", "noise_density": -4e-9}'),
+        ("preset", '{"name": "x", "interferers": [[95e6, 0, -1e-12]]}'),
+        ("preset", '{"name": "x", "interferers": [[95e6, -1e6, 1e-12]]}'),
+        ("preset", '{"name": "x", "glitch_rate": 50, "glitch_amp": [4.0, 2.5]}'),
     ],
     ids=[
         "config-json", "config-list", "config-unknown-key", "config-rejected",
-        "config-type", "preset-json", "preset-list", "preset-unknown-field",
-        "preset-rejected",
+        "config-type", "config-no-anchor", "config-negative-search",
+        "config-int-as-string", "config-zero-bit-rate", "preset-json",
+        "preset-list", "preset-unknown-field", "preset-rejected",
+        "preset-negative-noise", "preset-negative-power",
+        "preset-negative-bandwidth", "preset-inverted-glitch-amp",
     ],
 )
 def test_malformed_config_or_preset_is_a_data_error(tmp_path, capsys, kind, text):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,6 +71,18 @@ def test_config_validation():
         DetectorConfig(skip_fraction=0.6)
     with pytest.raises(ValueError):
         DetectorConfig(filter_taps=100)
+    for bad in (
+        {"anchor_candidates": 0}, {"offset_search": -1}, {"min_peaks": -1},
+        {"filter_taps": -1}, {"bit_rate": 0.0}, {"amplitude": -3.3},
+        {"band_low": 0.0}, {"zero_floor": 0.0}, {"proximity_window": math.nan},
+        {"band_high": math.inf},
+    ):
+        with pytest.raises(ValueError):
+            DetectorConfig(**bad)
+    for bad in ({"min_peaks": "12"}, {"offset_search": 2.0}, {"filter_taps": True},
+                {"amplitude": "3.3"}):
+        with pytest.raises(TypeError):
+            DetectorConfig(**bad)
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -251,7 +264,7 @@ def test_peak_count_matches_reference_on_clean_trace(refs):
 def test_no_peak_pair_violates_separation_on_detection(refs):
     preset = get_preset("open-space-3.8m")
     clean = radiate(build_keystroke_transaction(key_by_label("w")))
-    trace = apply_channel(clean, preset, FS, rng=np.random.default_rng(42))
+    trace = apply_channel(clean, replace(preset, seed=42), FS)
     envelope = _band_envelope([trace.samples], FS, CFG)[0][0]
     peaks = threshold_and_peaks(normalize(envelope), FS)
     min_gap = np.diff(peaks).min()
@@ -384,7 +397,7 @@ def test_detect_identity_roundtrip(refs):
 def test_detect_scale_invariance_exact(refs):
     preset = get_preset("open-space-3m")
     clean = radiate(build_keystroke_transaction(key_by_label("m")))
-    trace = apply_channel(clean, preset, FS, rng=np.random.default_rng(17))
+    trace = apply_channel(clean, replace(preset, seed=17), FS)
     base = detect(trace, refs)
     for c in (1e-3, 0.5, 2.0, 1e3):
         scaled = EmanationTrace(
@@ -424,7 +437,7 @@ def test_detect_survives_early_noise_peak(refs):
 def test_detect_deterministic(refs):
     preset = get_preset("open-space-3.8m")
     clean = radiate(build_keystroke_transaction(key_by_label("5")))
-    trace = apply_channel(clean, preset, FS, rng=np.random.default_rng(23))
+    trace = apply_channel(clean, replace(preset, seed=23), FS)
     r1 = detect(trace, refs)
     r2 = detect(trace, refs)
     assert r1.key == r2.key
@@ -444,7 +457,6 @@ def test_detect_result_invariants(refs):
 def test_accuracy_monotone_in_noise(refs):
     # statistical: mean accuracy must not rise as noise grows
     from emanakey.channel import synth_dataset
-    from dataclasses import replace
 
     base = get_preset("open-space-3m")
     keys = refs.keys_in_order()
@@ -604,9 +616,7 @@ def _long_trace():
     clean = radiate(build_keystroke_transaction(key_by_label("k")))
     window = np.zeros(250_000)
     window[100_000 : 100_000 + clean.size] = clean
-    return apply_channel(
-        window, get_preset("open-space-2.5m"), FS, rng=np.random.default_rng(3)
-    )
+    return apply_channel(window, replace(get_preset("open-space-2.5m"), seed=3), FS)
 
 
 def _mixed_length_dataset(seed):

@@ -106,7 +106,6 @@ def test_reference_set_build(refs):
     widths = {refs[k].bit_width for k in refs.keys_in_order()}
     assert len(widths) == 1
     assert refs.method == "analytic"
-    assert refs.config_hash
 
 
 def test_reference_methods_agree(refs):
@@ -118,7 +117,6 @@ def test_reference_methods_agree(refs):
 
 def test_reference_determinism(refs):
     again = build_reference_set("analytic")
-    assert again.config_hash == refs.config_hash
     for key in refs.keys_in_order():
         assert refs[key] == again[key]
 

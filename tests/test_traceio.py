@@ -73,8 +73,10 @@ def test_trace_file_regenerates_its_own_samples(tmp_path):
         back = read_trace(path)
         assert back == trace
         key = back.ground_truth
-        rng = np.random.default_rng([back.seed, key.index, back.repeat])
-        again = apply_channel(clean_waveform(key), back.preset, rng=rng)
+        again = apply_channel(
+            clean_waveform(key), back.preset, ground_truth=key,
+            stream=(back.seed, back.repeat),
+        )
         assert np.array_equal(again.samples, back.samples)
 
 
