@@ -9,7 +9,6 @@ recovers the typed key by matching detected edge series against the
 from .bits import (
     BitStream,
     LineState,
-    LineSymbolSequence,
     bit_destuff,
     bit_stuff,
     nrzi_decode,
@@ -34,10 +33,8 @@ from .detector import (
     DEFAULT_CONFIG,
     DetectionResult,
     DetectorConfig,
-    bandpass,
     detect,
     detect_batch,
-    form_edge_series,
     match,
     normalize,
     threshold_and_peaks,

@@ -130,14 +130,3 @@ def nrzi_decode(
         prev = sym
     return BitStream(tuple(bits), stuffed=False)
 
-
-@dataclass(frozen=True)
-class LineSymbolSequence:
-    """Per-bit line states with timing; one symbol per bit slot."""
-
-    symbols: tuple[LineState, ...]
-    symbol_duration: float
-    start_time: float = 0.0
-
-    def __len__(self) -> int:
-        return len(self.symbols)

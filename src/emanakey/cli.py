@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .bits import int_from_bits
 from .channel import get_preset, synth_dataset
 from .detector import DEFAULT_CONFIG, DetectorConfig, detect_batch
 from .edges import build_reference_set, edges_analytic, min_pairwise_distance
@@ -56,17 +57,20 @@ def _parse_keys(spec: str):
     return [key_by_label(label) for label in spec.split(",")]
 
 
-def _positive_int(spec: str) -> int:
-    """An integer >= 1."""
-    try:
-        value = int(spec)
-        if value < 1:
-            raise ValueError(spec)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {spec!r}"
-        ) from None
-    return value
+def _positive(kind: type):
+    """An argparse type: the spec read as ``kind`` (int or float), finite and > 0."""
+    name = "an integer" if kind is int else "a finite number"
+
+    def parse(spec: str):
+        try:
+            value = kind(spec)
+            if not 0 < value < np.inf:
+                raise ValueError(spec)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {name} > 0, got {spec!r}") from None
+        return value
+
+    return parse
 
 
 def _noise_grid(spec: str) -> list[float]:
@@ -248,8 +252,7 @@ def cmd_show_frame(args) -> int:
             print(f"    {''.join(s.name[0] if s.name != 'SE0' else '0' for s in packet.line_states())}")
         elif args.format == "hex":
             raw = bytes(
-                sum(b << i for i, b in enumerate(packet.bits().bits[n : n + 8]))
-                for n in range(0, len(packet.bits()), 8)
+                int_from_bits(bits.bits[n : n + 8]) for n in range(0, len(bits), 8)
             )
             print(f"    {raw.hex(' ')}")
     print(f"edge series: {series.ones} edges in {len(series)} slots")
@@ -273,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize labeled emanation traces")
     p.add_argument("--keys", default="all", help="'all' or comma-separated labels")
     p.add_argument("--preset", required=True)
-    p.add_argument("--repeats", type=_positive_int, default=2)
+    p.add_argument("--repeats", type=_positive(int), default=2)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sample-rate", type=float, default=250e6)
+    p.add_argument("--sample-rate", type=_positive(float), default=250e6)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -295,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lo:hi:n geometric noise-density grid")
     group.add_argument("--glitch-grid", type=_glitch_grid,
                        help="comma-separated glitch counts")
-    p.add_argument("--repeats", type=_positive_int, default=10)
+    p.add_argument("--repeats", type=_positive(int), default=10)
     p.add_argument("--refs", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -304,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="measure per-detection latency")
-    p.add_argument("--iters", type=_positive_int, default=200)
+    p.add_argument("--iters", type=_positive(int), default=200)
     p.add_argument("--refs", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)

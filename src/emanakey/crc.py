@@ -70,11 +70,6 @@ def crc16(payload: bytes) -> int:
     return crc ^ 0xFFFF
 
 
-def crc16_bits(bits: Iterable[int]) -> int:
-    """Bit-serial CRC16 for streams that are not whole bytes."""
-    return _update16(0xFFFF, bits) ^ 0xFFFF
-
-
 def crc5_residual(bits_with_crc: Sequence[int]) -> int:
     """Register state after re-dividing field+CRC; equals CRC5_RESIDUAL when intact."""
     return _update5(0x1F, bits_with_crc)

@@ -1,11 +1,11 @@
 """Emanation-trace keystroke detector.
 
-Pipeline: bandpass the trace to the 10-18 MHz emission band, normalize to
-+/-3.3 V using the 99th-percentile amplitude (so a lone interference spike
-cannot distort the scaling), zero everything below half amplitude, detect
-peaks with a two-thirds-bit minimum separation, form a binary edge series
-on a grid anchored at a detected peak, and return the reference with the
-highest slot agreement.
+Pipeline: bandpass the trace to the 10-18 MHz emission band, take its
+amplitude envelope, normalize to +/-3.3 V using the 99th-percentile
+amplitude (so a lone interference spike cannot distort the scaling), zero
+everything below half amplitude, detect peaks with a two-thirds-bit
+minimum separation, form a binary edge series on a grid anchored at a
+detected peak, and return the reference with the highest slot agreement.
 
 Alignment has no hardware trigger to lean on, so the slot grid is anchored
 at a detected peak and searched: the first few peaks are tried as anchor
@@ -78,7 +78,8 @@ class DetectorConfig:
                 raise TypeError(f"{f.name} must be {kind}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
-        for name in ("band_low", "amplitude", "bit_rate", "anchor_candidates", "filter_taps"):
+        for name in ("band_low", "amplitude", "bit_rate", "min_peak_separation",
+                     "proximity_window", "anchor_candidates", "filter_taps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         for name in ("offset_search", "min_peaks"):
@@ -175,31 +176,6 @@ def _bandpass_taps(
     )
 
 
-def bandpass(
-    samples: np.ndarray, sample_rate: float, cfg: DetectorConfig = DEFAULT_CONFIG
-) -> np.ndarray:
-    """Linear-phase FIR bandpass, group delay removed by centered convolution."""
-    if sample_rate <= 2 * cfg.band_high:
-        raise SampleRateError(
-            f"sample rate {sample_rate:g} too low for a {cfg.band_high:g} Hz band edge"
-        )
-    taps = _bandpass_taps(sample_rate, cfg.band_low, cfg.band_high, cfg.filter_taps)
-    x = np.asarray(samples, dtype=np.float64)
-    return sp_signal.fftconvolve(x, taps, mode="same")
-
-
-def amplitude_envelope(filtered: np.ndarray) -> np.ndarray:
-    """Instantaneous amplitude of the band-limited signal.
-
-    Peak decisions run on the envelope, not on the oscillating samples:
-    the carrier puts |x| maxima on a half-period comb, and noise can hop
-    the apparent maximum one lobe sideways, out of the slot proximity
-    window. The envelope has a single smooth lobe per edge burst.
-    """
-    analytic = sp_signal.hilbert(np.asarray(filtered, dtype=np.float64))
-    return np.abs(analytic)
-
-
 @lru_cache(maxsize=16)
 def _analytic_filter(
     n: int, sample_rate: float, band_low: float, band_high: float, taps: int
@@ -261,11 +237,14 @@ def _band_envelope(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fused bandpass + envelope of same-length rows: one rfft, one ifft.
 
-    Numerically equivalent (away from the trace ends) to
-    amplitude_envelope(bandpass(x)); each row gets the bits a chunk of one
-    row gets. Returns the (rows, n) envelope and a scratch array of its
-    shape, both views into a workspace that this thread's next call may
-    overwrite; the scratch is the padded input, dead once transformed.
+    Peaks are taken on the envelope, one smooth lobe per edge burst; the
+    raw carrier's |x| maxima sit on a half-period comb that noise can hop.
+    Numerically equivalent (away from the trace ends) to the reference
+    amplitude_envelope(bandpass(x)) in tests/oracle.py; each row gets the
+    bits a chunk of one row gets. Returns the (rows, n) envelope and a
+    scratch array of its shape, both views into a workspace that this
+    thread's next call may overwrite; the scratch is the padded input,
+    dead once transformed.
     """
     if sample_rate <= 2 * cfg.band_high:
         raise SampleRateError(
@@ -381,29 +360,6 @@ def threshold_and_peaks(
     if times.size == 0:
         raise NoSignalError("no peaks above the amplitude floor")
     return times
-
-
-def form_edge_series(
-    peak_times: np.ndarray,
-    reference: EdgeSeries,
-    cfg: DetectorConfig = DEFAULT_CONFIG,
-) -> EdgeSeries:
-    """Binary series over the reference's slot grid.
-
-    The grid puts slot 0 at the first peak. A slot reads '1' when any
-    peak lies within the proximity window of its boundary; peaks drift,
-    so proximity rather than exact coincidence decides.
-    """
-    peak_times = np.asarray(peak_times, dtype=np.float64)
-    if peak_times.size == 0:
-        raise NoSignalError("cannot form an edge series from zero peaks")
-    anchor = peak_times[0]
-    bit = reference.bit_width
-    slots = _grid_slots(
-        peak_times[None, :], np.array([[anchor]], dtype=np.float64),
-        np.array([0]), bit, len(reference), cfg.proximity_window,
-    )
-    return EdgeSeries(slots=slots[0, 0], bit_width=bit, origin=anchor)
 
 
 def _grid_slots(

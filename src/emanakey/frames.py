@@ -24,7 +24,6 @@ from .bits import (
     EOP_STATES,
     BitStream,
     LineState,
-    LineSymbolSequence,
     bit_stuff,
     bits_from_bytes,
     bits_from_int,
@@ -151,13 +150,6 @@ class Frame:
                 states.extend([LineState.J] * self.gap_bits)
             states.extend(packet.line_states())
         return states
-
-    def line_symbols(self, window: str = "capture") -> LineSymbolSequence:
-        return LineSymbolSequence(
-            symbols=tuple(self.slot_states(window)),
-            symbol_duration=self.bit_time,
-            start_time=0.0,
-        )
 
     def slot_count(self, window: str = "capture") -> int:
         return len(self.slot_states(window))

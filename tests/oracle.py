@@ -12,6 +12,11 @@ per-slot, per-edge and per-tone loops: walk the line states comparing each
 with its predecessor, add one pulse at a time into the output window, and
 evaluate each tone's cosine at its own phase.
 
+The envelope reference is the detector's filter applied the textbook way:
+`bandpass` convolves with the production taps (`_bandpass_taps`) and
+`amplitude_envelope` takes |hilbert(.)|, the composition the fused batch
+envelope is checked against.
+
 The detection oracle is the single-trace detector: its own fused
 bandpass-envelope, one percentile, one find_peaks, and every anchor grid
 scored against every reference through a 3-D elementwise `!=` tensor.
@@ -38,7 +43,7 @@ from emanakey.channel import (
 )
 from emanakey.detector import DEFAULT_CONFIG, DetectionResult, _bandpass_taps
 from emanakey.edges import EdgeSeries, ReferenceSet
-from emanakey.errors import NoSignalError
+from emanakey.errors import NoSignalError, SampleRateError
 from emanakey.frames import Frame
 
 
@@ -198,6 +203,23 @@ def inject_glitch_oracle(trace, count, amplitude=(2.5, 4.0), seed=0, base_amplit
         lo, hi = max(0, i - half), min(samples.size, i + half + 1)
         out[lo:hi] += burst[half - (i - lo) : half + (hi - i)]
     return replace(trace, samples=out)
+
+
+def bandpass(samples: np.ndarray, sample_rate: float, cfg=DEFAULT_CONFIG) -> np.ndarray:
+    """Linear-phase FIR bandpass, group delay removed by centered convolution."""
+    if sample_rate <= 2 * cfg.band_high:
+        raise SampleRateError(
+            f"sample rate {sample_rate:g} too low for a {cfg.band_high:g} Hz band edge"
+        )
+    taps = _bandpass_taps(sample_rate, cfg.band_low, cfg.band_high, cfg.filter_taps)
+    x = np.asarray(samples, dtype=np.float64)
+    return sp_signal.fftconvolve(x, taps, mode="same")
+
+
+def amplitude_envelope(filtered: np.ndarray) -> np.ndarray:
+    """Instantaneous amplitude of the band-limited signal."""
+    analytic = sp_signal.hilbert(np.asarray(filtered, dtype=np.float64))
+    return np.abs(analytic)
 
 
 def _band_envelope_oracle(x: np.ndarray, sample_rate: float, cfg) -> np.ndarray:

@@ -25,6 +25,7 @@ from emanakey.edges import EdgeSeries
 from emanakey.keys import KEYS
 
 from oracle import (
+    bandpass,
     glitch_burst_oracle,
     inject_glitch_oracle,
     interference_oracle,
@@ -172,8 +173,6 @@ def test_coupling_gain_scales_signal():
 
 
 def test_fm_interferers_visible_raw_and_removed_by_bandpass():
-    from emanakey.detector import bandpass
-
     preset = get_preset("open-space-3m")
     clean = make_clean()
     trace = apply_channel(clean, preset, FS)

@@ -133,6 +133,13 @@ def test_show_frame_golden(capsys):
     assert "edge series: 96 edges in 120 slots" in stdout
 
 
+def test_show_frame_hex_golden(capsys):
+    rc, stdout, _ = run(["show-frame", "--key", "a", "--format", "hex"], capsys)
+    assert rc == 0
+    hex_lines = [l.strip() for l in stdout.splitlines() if l.startswith("    ")]
+    assert hex_lines == ["80 69 81 58", "80 c3 00 00 04 00 00 00 00 00 be 70", "80 d2"]
+
+
 def test_show_frame_unknown_key(capsys):
     rc, _, stderr = run(["show-frame", "--key", "ESC"], capsys)
     assert rc == 3
@@ -280,6 +287,8 @@ def test_sweep_bad_grid_is_a_usage_error(tmp_path, capsys, flag, spec):
         ("config", '{"offset_search_slots": -1}'),
         ("config", '{"min_peaks": "12"}'),
         ("config", '{"bit_rate_bps": 0}'),
+        ("config", '{"proximity_window_bits": -1}'),
+        ("config", '{"min_peak_separation_bits": 0}'),
         ("preset", "{"),
         ("preset", '[{"name": "x"}]'),
         ("preset", '{"name": "x", "distance_m": 3}'),
@@ -292,7 +301,8 @@ def test_sweep_bad_grid_is_a_usage_error(tmp_path, capsys, flag, spec):
     ids=[
         "config-json", "config-list", "config-unknown-key", "config-rejected",
         "config-type", "config-no-anchor", "config-negative-search",
-        "config-int-as-string", "config-zero-bit-rate", "preset-json",
+        "config-int-as-string", "config-zero-bit-rate",
+        "config-negative-proximity", "config-zero-peak-separation", "preset-json",
         "preset-list", "preset-unknown-field", "preset-rejected",
         "preset-negative-noise", "preset-negative-power",
         "preset-negative-bandwidth", "preset-inverted-glitch-amp",
@@ -334,6 +344,19 @@ def test_count_below_one_is_a_usage_error(tmp_path, capsys, argv):
     flag, value = argv[-2:]
     assert flag in stderr and repr(value) in stderr
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("rate", ["0", "-5", "inf", "nan"])
+def test_bad_sample_rate_is_a_usage_error(tmp_path, capsys, rate):
+    out_dir = tmp_path / "t"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--keys", "a", "--preset", "identity",
+              "--sample-rate", rate, "--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "--sample-rate" in stderr and repr(rate) in stderr
+    assert "Traceback" not in stderr
+    assert not list(tmp_path.rglob("*.emtr"))
 
 
 def test_trace_with_malformed_preset_is_a_data_error(tmp_path, capsys):

@@ -14,7 +14,6 @@ from emanakey.crc import (
     CRC5_RESIDUAL,
     CRC16_RESIDUAL,
     crc5_residual,
-    crc16_bits,
     crc16_residual,
 )
 from emanakey.bits import bits_from_bytes, bits_from_int
@@ -55,13 +54,6 @@ def test_crc16_random_oracle_agreement():
     for _ in range(2000):
         payload = bytes(rng.integers(0, 256, size=rng.integers(0, 9)))
         assert crc16(payload) == crc16_oracle(payload)
-
-
-def test_crc16_table_matches_bit_serial():
-    rng = np.random.default_rng(7)
-    for _ in range(500):
-        payload = bytes(rng.integers(0, 256, size=rng.integers(0, 9)))
-        assert crc16(payload) == crc16_bits(bits_from_bytes(payload))
 
 
 def test_crc5_residual_constant():

@@ -10,11 +10,9 @@ from emanakey import (
     NoSignalError,
     SampleRateError,
     apply_channel,
-    bandpass,
     build_keystroke_transaction,
     detect,
     detect_batch,
-    form_edge_series,
     available_presets,
     get_preset,
     inject_glitch,
@@ -29,13 +27,13 @@ from emanakey.detector import (
     _CHUNK_ROWS,
     DEFAULT_CONFIG,
     _band_envelope,
+    _grid_slots,
     _percentile_rows,
-    amplitude_envelope,
 )
 from emanakey.edges import EdgeSeries
 from emanakey.keys import KEYS
 
-from oracle import agreement_score_oracle, detect_oracle
+from oracle import agreement_score_oracle, amplitude_envelope, bandpass, detect_oracle
 
 FS = 250e6
 CFG = DEFAULT_CONFIG
@@ -75,7 +73,9 @@ def test_config_validation():
         {"anchor_candidates": 0}, {"offset_search": -1}, {"min_peaks": -1},
         {"filter_taps": -1}, {"bit_rate": 0.0}, {"amplitude": -3.3},
         {"band_low": 0.0}, {"zero_floor": 0.0}, {"proximity_window": math.nan},
-        {"band_high": math.inf},
+        {"band_high": math.inf}, {"proximity_window": -1.0},
+        {"proximity_window": 0.0}, {"min_peak_separation": 0.0},
+        {"min_peak_separation": -0.5},
     ):
         with pytest.raises(ValueError):
             DetectorConfig(**bad)
@@ -139,9 +139,12 @@ def test_bandpass_removes_fm_interference_scenario():
     assert fm < band * 10 ** (-40 / 20)
 
 
-def test_bandpass_requires_adequate_rate():
+def test_bandpass_requires_adequate_rate(refs):
+    slow = EmanationTrace(samples=tone(5e6, n=3000, fs=30e6), sample_rate=30e6)
     with pytest.raises(SampleRateError):
-        bandpass(tone(5e6, fs=30e6), 30e6)
+        detect(slow, refs)
+    with pytest.raises(SampleRateError):
+        detect_batch([slow], refs)
 
 
 def test_fused_envelope_matches_composition():
@@ -271,7 +274,15 @@ def test_no_peak_pair_violates_separation_on_detection(refs):
     assert min_gap >= (2 / 3) * (1 / 12e6) * 0.999
 
 
-# --- form_edge_series -------------------------------------------------------
+# --- slot grid --------------------------------------------------------------
+
+
+def grid_slots(peaks, ref):
+    """Slots of the one grid that puts slot 0 at the first peak."""
+    return _grid_slots(
+        peaks[None, :], peaks[None, :1], np.array([0]), ref.bit_width, len(ref),
+        CFG.proximity_window,
+    )[0, 0]
 
 
 def make_ref(n=20):
@@ -284,8 +295,7 @@ def test_form_series_exact_centers():
     ref = make_ref()
     bit = ref.bit_width
     peaks = np.array([0.0, 3 * bit, 7 * bit, 12 * bit]) + 5e-6
-    series = form_edge_series(peaks, ref)
-    assert np.array_equal(series.slots, ref.slots)
+    assert np.array_equal(grid_slots(peaks, ref), ref.slots)
 
 
 def test_form_series_tolerates_jitter():
@@ -294,31 +304,25 @@ def test_form_series_tolerates_jitter():
     rng = np.random.default_rng(8)
     jitter = rng.uniform(-0.3 * bit, 0.3 * bit, size=3)
     peaks = np.concatenate(([0.0], np.array([3, 7, 12]) * bit + jitter)) + 5e-6
-    series = form_edge_series(peaks, ref)
-    assert np.array_equal(series.slots, ref.slots)
+    assert np.array_equal(grid_slots(peaks, ref), ref.slots)
 
 
 def test_form_series_spurious_peak_adds_one():
     ref = make_ref()
     bit = ref.bit_width
     peaks = np.array([0.0, 3 * bit, 5 * bit, 7 * bit, 12 * bit]) + 5e-6
-    series = form_edge_series(peaks, ref)
-    assert series.slots[5] == 1
-    assert int(series.slots.sum()) == ref.ones + 1
+    slots = grid_slots(peaks, ref)
+    assert slots[5] == 1
+    assert int(slots.sum()) == ref.ones + 1
 
 
 def test_form_series_peak_outside_proximity_ignored():
     ref = make_ref()
     bit = ref.bit_width
     peaks = np.array([0.0, 3 * bit, 8.5 * bit, 12 * bit]) + 5e-6
-    series = form_edge_series(peaks, ref)
-    assert series.slots[8] == 0
-    assert series.slots[9] == 0
-
-
-def test_form_series_needs_peaks():
-    with pytest.raises(NoSignalError):
-        form_edge_series(np.array([]), make_ref())
+    slots = grid_slots(peaks, ref)
+    assert slots[8] == 0
+    assert slots[9] == 0
 
 
 # --- match ------------------------------------------------------------------

@@ -105,10 +105,9 @@ def test_frames_differ_only_in_data_packet():
 
 def test_frame_determinism():
     k = key_by_label("7")
-    s1 = build_keystroke_transaction(k).line_symbols("full")
-    s2 = build_keystroke_transaction(k).line_symbols("full")
-    assert s1.symbols == s2.symbols
-    assert s1.symbol_duration == s2.symbol_duration
+    f1, f2 = build_keystroke_transaction(k), build_keystroke_transaction(k)
+    assert f1.slot_states("full") == f2.slot_states("full")
+    assert f1.bit_time == f2.bit_time
 
 
 def test_stuffed_length_varies_by_key():
