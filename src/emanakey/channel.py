@@ -299,37 +299,125 @@ def _glitch_burst(amplitude: float, sample_rate: float) -> np.ndarray:
     return amplitude * env * carrier
 
 
+def _percentile_rows(x: np.ndarray, q: float) -> np.ndarray:
+    """np.percentile(x, q, axis=-1, keepdims=True) of finite x, bit for bit.
+
+    numpy's default "linear" method reads each sorted row at the virtual
+    index (n - 1) * (q / 100) and interpolates its two neighbours with
+    numpy's _lerp arithmetic, which takes the upper neighbour as base once
+    the fraction reaches 0.5. Only those two order statistics are needed,
+    so one partition replaces the sort; x is partitioned in place.
+    """
+    n = x.shape[-1]
+    virtual = (n - 1) * (q / 100)
+    lo = min(math.floor(virtual), n - 1)
+    hi = min(lo + 1, n - 1)
+    gamma = virtual - lo
+    x.partition((lo, hi), axis=-1)
+    below, above = x[..., lo : lo + 1], x[..., hi : hi + 1]
+    diff = above - below
+    if gamma >= 0.5:
+        return above - diff * (1 - gamma)
+    return below + diff * gamma
+
+
 def _robust_max(x: np.ndarray) -> float:
-    r = float(np.percentile(np.abs(x), 99.0))
-    return r if r > 0 else float(np.max(np.abs(x), initial=0.0))
+    """The 99th percentile of |x|, or max |x| when that is 0; 0 for no samples."""
+    magnitude = np.abs(x)
+    if magnitude.size == 0:
+        return 0.0
+    r = float(_percentile_rows(magnitude, 99.0)[0])
+    return r if r > 0 else float(np.max(magnitude, initial=0.0))
+
+
+_Glitches = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _draw_glitches(
+    count: int,
+    amp_range: tuple[float, float],
+    rng: np.random.Generator,
+    times: np.ndarray | None,
+    n: int,
+    sample_rate: float,
+) -> _Glitches:
+    """Sample indices, amplitude factors and signs of ``count`` bursts in n samples."""
+    if times is None:
+        idx = rng.integers(1, max(2, n - 1), size=count)
+    else:
+        idx = np.clip(np.rint(np.asarray(times) * sample_rate).astype(int), 1, n - 2)
+    factors = rng.uniform(amp_range[0], amp_range[1], size=count)
+    signs = rng.choice([-1.0, 1.0], size=count)
+    return idx, factors, signs
 
 
 def _add_glitches(
-    out: np.ndarray,
-    count: int,
-    amp_range: tuple[float, float],
-    base_amplitude: float,
-    rng: np.random.Generator,
-    times: np.ndarray | None,
-    sample_rate: float,
+    out: np.ndarray, glitches: _Glitches, base_amplitude: float, sample_rate: float
 ) -> None:
-    """Add ``count`` bursts to the float64 samples ``out``, in place."""
-    if count == 0:
-        return
-    if times is None:
-        idx = rng.integers(1, max(2, out.size - 1), size=count)
-    else:
-        idx = np.clip(
-            np.rint(np.asarray(times) * sample_rate).astype(int), 1, out.size - 2
-        )
-    factors = rng.uniform(amp_range[0], amp_range[1], size=count)
-    signs = rng.choice([-1.0, 1.0], size=count)
-    for i, f, s in zip(idx, factors, signs):
+    """Add the drawn bursts, scaled by ``base_amplitude``, to the float64 ``out`` in place."""
+    for i, f, s in zip(*glitches):
         burst = _glitch_burst(s * f * base_amplitude, sample_rate)
         half = burst.size // 2
         lo = max(0, i - half)
         hi = min(out.size, i + half + 1)
         out[lo:hi] += burst[half - (i - lo) : half + (hi - i)]
+
+
+_Impairments = tuple[list[np.ndarray], _Glitches | None]
+
+
+def _impairment_spec(preset: ChannelPreset) -> tuple:
+    """The preset fields that decide what _draw_impairments takes from a stream."""
+    return (preset.noise_density, preset.interferers, preset.glitch_rate, preset.glitch_amp)
+
+
+def _draw_impairments(
+    preset: ChannelPreset, n: int, sample_rate: float, rng: np.random.Generator
+) -> _Impairments:
+    """Draw one trace's impairments from ``rng``: noise, each interferer, glitches.
+
+    Returns the additive parts in the order they are added (the noise,
+    then each interferer) and the glitch draws, or None when the preset
+    has no glitch rate or the count drawn is 0. Only the fields in
+    _impairment_spec decide them: presets that differ elsewhere (gain,
+    shielding, coupling) draw the same impairments from the same stream.
+    """
+    parts = []
+    if preset.noise_density > 0:
+        sigma = preset.noise_density * math.sqrt(sample_rate / 2.0)
+        parts.append(rng.normal(0.0, sigma, n))
+    for interferer in preset.interferers:
+        parts.append(_interference(interferer, n, sample_rate, rng))
+    glitches = None
+    if preset.glitch_rate > 0:
+        count = int(rng.poisson(preset.glitch_rate))
+        if count:
+            glitches = _draw_glitches(count, preset.glitch_amp, rng, None, n, sample_rate)
+    return parts, glitches
+
+
+def _compose(
+    clean: np.ndarray, preset: ChannelPreset, impairments: _Impairments, sample_rate: float
+) -> np.ndarray:
+    """clean * preset.signal_scale plus the drawn impairments, as float64.
+
+    The parts are added one at a time in draw order, so the sums round
+    the same way whichever presets share the draws.
+    """
+    parts, glitches = impairments
+    out = np.asarray(clean, dtype=np.float64) * preset.signal_scale
+    # Glitch amplitude scales with the wanted signal so the burst lands
+    # just above the normalizer's clip level after the bandpass.
+    signal_peak = float(np.max(np.abs(out), initial=0.0)) if glitches else 0.0
+    for part in parts:
+        out += part
+    if glitches:
+        _add_glitches(out, glitches, signal_peak, sample_rate)
+    return out
+
+
+def _stream(seed: int, key: KeyId, repeat: int) -> np.random.Generator:
+    return np.random.default_rng([seed, key.index, repeat])
 
 
 def apply_channel(
@@ -357,26 +445,10 @@ def apply_channel(
         if ground_truth is None:
             raise ValueError("stream needs a ground truth")
         seed, repeat = stream
-        rng = np.random.default_rng([seed, ground_truth.index, repeat])
-    signal = np.asarray(clean, dtype=np.float64) * preset.signal_scale
-    signal_peak = float(np.max(np.abs(signal), initial=0.0))
-    out = signal
-    n = out.size
-
-    if preset.noise_density > 0:
-        sigma = preset.noise_density * math.sqrt(sample_rate / 2.0)
-        out = out + rng.normal(0.0, sigma, n)
-    for interferer in preset.interferers:
-        out = out + _interference(interferer, n, sample_rate, rng)
-    if preset.glitch_rate > 0:
-        # Glitch amplitude scales with the wanted signal so the burst lands
-        # just above the normalizer's clip level after the bandpass.
-        count = int(rng.poisson(preset.glitch_rate))
-        # out is a fresh array: the scaled signal plus whatever was added.
-        _add_glitches(out, count, preset.glitch_amp, signal_peak, rng, None, sample_rate)
-
+        rng = _stream(seed, ground_truth, repeat)
+    impairments = _draw_impairments(preset, np.size(clean), sample_rate, rng)
     return EmanationTrace(
-        samples=out,
+        samples=_compose(clean, preset, impairments, sample_rate),
         sample_rate=sample_rate,
         ground_truth=ground_truth,
         preset=preset,
@@ -409,16 +481,68 @@ def inject_glitch(
     amp_range = (amplitude, amplitude) if np.isscalar(amplitude) else tuple(amplitude)
     rng = np.random.default_rng(seed)
     samples = trace.samples.astype(np.float64)
-    _add_glitches(
-        samples,
+    glitches = _draw_glitches(
         count,
         amp_range,
-        base_amplitude if base_amplitude is not None else _robust_max(trace.samples),
         rng,
         None if times is None else np.asarray(times, dtype=np.float64),
+        samples.size,
+        trace.sample_rate,
+    )
+    _add_glitches(
+        samples,
+        glitches,
+        base_amplitude if base_amplitude is not None else _robust_max(trace.samples),
         trace.sample_rate,
     )
     return replace(trace, samples=samples)
+
+
+def synth_datasets(
+    keys: list[KeyId],
+    presets: list[ChannelPreset],
+    repeats: int = 2,
+    sample_rate: float = DEFAULT_SAMPLE_RATE,
+    master_seed: int | None = None,
+) -> list[list[EmanationTrace]]:
+    """synth_dataset for each preset, one dataset per preset, bit for bit.
+
+    A (key, repeat)'s stream is default_rng([seed, key index, repeat]),
+    the seed being the master seed or, without one, each preset's own.
+    Presets that agree on the seed and the impairment fields (noise
+    density, interferers, glitch rate and amplitude) draw the same
+    numbers from it, so each (key, repeat) draws once per distinct (seed,
+    fields) and composes onto each preset's own signal scale: a distance
+    ladder draws once per trace, not once per rung. Only one (key,
+    repeat)'s draws are held at a time.
+    """
+    if not keys:
+        raise ValueError("key list must be nonempty")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    seeds = [preset.seed if master_seed is None else master_seed for preset in presets]
+    specs = [(seed, *_impairment_spec(p)) for seed, p in zip(seeds, presets)]
+    # Each preset draws through the first preset with its spec.
+    drawer = [specs.index(spec) for spec in specs]
+    datasets: list[list[EmanationTrace]] = [[] for _ in presets]
+    for r in range(repeats):
+        for key in keys:
+            clean = clean_waveform(key, sample_rate)
+            drawn: dict[int, _Impairments] = {}
+            for preset, seed, first, traces in zip(presets, seeds, drawer, datasets):
+                if first not in drawn:
+                    drawn[first] = _draw_impairments(
+                        preset, clean.size, sample_rate, _stream(seed, key, r)
+                    )
+                traces.append(EmanationTrace(
+                    samples=_compose(clean, preset, drawn[first], sample_rate),
+                    sample_rate=sample_rate,
+                    ground_truth=key,
+                    preset=preset,
+                    seed=seed,
+                    repeat=r,
+                ))
+    return datasets
 
 
 def synth_dataset(
@@ -432,21 +556,11 @@ def synth_dataset(
 
     Each trace owns an RNG stream derived from (master seed, key index,
     repeat), so datasets are reproducible and order-independent; the
-    trace records the master seed and the repeat.
+    trace records the master seed and the repeat. It is synth_datasets
+    with one preset: the repeats are outermost, and each trace equals
+    apply_channel on the key's clean waveform with stream=(seed, repeat).
     """
-    if not keys:
-        raise ValueError("key list must be nonempty")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    seed = preset.seed if master_seed is None else master_seed
-    traces = []
-    for r in range(repeats):
-        for key in keys:
-            traces.append(apply_channel(
-                clean_waveform(key, sample_rate), preset, sample_rate,
-                ground_truth=key, stream=(seed, r),
-            ))
-    return traces
+    return synth_datasets(keys, [preset], repeats, sample_rate, master_seed)[0]
 
 
 # --- preset registry ---------------------------------------------------

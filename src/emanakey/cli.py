@@ -73,6 +73,17 @@ def _positive(kind: type):
     return parse
 
 
+def _sample_rate(spec: str) -> float:
+    """A synthesis sample rate: finite and above twice the detector's upper band edge."""
+    rate = _positive(float)(spec)
+    nyquist = 2 * DEFAULT_CONFIG.band_high
+    if rate <= nyquist:
+        raise argparse.ArgumentTypeError(
+            f"expected a sample rate above {nyquist:g} Hz, got {spec!r}"
+        )
+    return rate
+
+
 def _noise_grid(spec: str) -> list[float]:
     """'lo:hi:n': n geometric steps from lo to hi, every density finite and > 0."""
     try:
@@ -278,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", required=True)
     p.add_argument("--repeats", type=_positive(int), default=2)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sample-rate", type=_positive(float), default=250e6)
+    p.add_argument("--sample-rate", type=_sample_rate, default=250e6)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 

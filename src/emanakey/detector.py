@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
-from .channel import EmanationTrace
+from .channel import EmanationTrace, _percentile_rows
 from .edges import EdgeSeries, ReferenceSet, _read_only
 from .errors import (
     DegenerateTraceError,
@@ -270,28 +270,6 @@ def _band_envelope(
     start = (cfg.filter_taps - 1) // 2  # 'same' alignment, group delay removed
     envelope = np.abs(spectrum[:, start : start + n], out=ws.envelope[:b, :n])
     return envelope, x[:, :n]
-
-
-def _percentile_rows(x: np.ndarray, q: float) -> np.ndarray:
-    """np.percentile(x, q, axis=-1, keepdims=True) of finite x, bit for bit.
-
-    numpy's default "linear" method reads each sorted row at the virtual
-    index (n - 1) * (q / 100) and interpolates its two neighbours with
-    numpy's _lerp arithmetic, which takes the upper neighbour as base once
-    the fraction reaches 0.5. Only those two order statistics are needed,
-    so one partition replaces the sort; x is partitioned in place.
-    """
-    n = x.shape[-1]
-    virtual = (n - 1) * (q / 100)
-    lo = min(math.floor(virtual), n - 1)
-    hi = min(lo + 1, n - 1)
-    gamma = virtual - lo
-    x.partition((lo, hi), axis=-1)
-    below, above = x[..., lo : lo + 1], x[..., hi : hi + 1]
-    diff = above - below
-    if gamma >= 0.5:
-        return above - diff * (1 - gamma)
-    return below + diff * gamma
 
 
 def _normalize(

@@ -19,6 +19,7 @@ from .channel import (
     get_preset,
     inject_glitch,
     synth_dataset,
+    synth_datasets,
 )
 from .detector import DEFAULT_CONFIG, DetectorConfig, detect, detect_batch
 from .edges import ReferenceSet
@@ -34,26 +35,41 @@ def _rows(
     label: str, preset: ChannelPreset, traces, refs: ReferenceSet, cfg: DetectorConfig
 ) -> list[SweepRow]:
     """Detect every trace in one batch; one row per key, in key order."""
-    outcomes: dict[KeyId, list[tuple[bool, float, float]]] = {}
-    for trace, result in zip(traces, detect_batch(traces, refs, cfg)):
-        if isinstance(result, NoSignalError):
-            record = (False, 0.0, 0.0)
-        else:
-            record = (result.key == trace.ground_truth, result.score, result.margin)
-        outcomes.setdefault(trace.ground_truth, []).append(record)
-    return [
-        SweepRow(
-            preset=label,
-            gain_db=preset.gain_db,
-            noise_density=preset.noise_density,
-            key=key.label,
-            repeats=len(records),
-            correct=sum(1 for ok, _, _ in records if ok),
-            mean_score=float(np.mean([s for _, s, _ in records])),
-            mean_margin=float(np.mean([m for _, _, m in records])),
-        )
-        for key, records in sorted(outcomes.items(), key=lambda kv: kv[0].index)
+    outcomes = [
+        (False, 0.0, 0.0) if isinstance(result, NoSignalError)
+        else (result.key == trace.ground_truth, result.score, result.margin)
+        for trace, result in zip(traces, detect_batch(traces, refs, cfg))
     ]
+    correct, score, margin = (np.array(column) for column in zip(*outcomes))
+    # Each key's traces in their order within the list, keys in index order.
+    index = np.array([trace.ground_truth.index for trace in traces])
+    order = np.argsort(index, kind="stable")
+    _, starts, counts = np.unique(index[order], return_index=True, return_counts=True)
+    rows: list[SweepRow | None] = [None] * len(starts)
+    # One contiguous (keys, repeats) block per distinct trace count: the
+    # mean of a row sums it pairwise, as np.mean of the key's list does.
+    for repeats in np.unique(counts).tolist():
+        (which,) = np.nonzero(counts == repeats)
+        block = order[starts[which, None] + np.arange(repeats)]
+        means = zip(
+            which.tolist(),
+            block[:, 0].tolist(),
+            correct[block].sum(axis=1).tolist(),
+            score[block].mean(axis=1).tolist(),
+            margin[block].mean(axis=1).tolist(),
+        )
+        for row, first, ok, mean_score, mean_margin in means:
+            rows[row] = SweepRow(
+                preset=label,
+                gain_db=preset.gain_db,
+                noise_density=preset.noise_density,
+                key=traces[first].ground_truth.label,
+                repeats=repeats,
+                correct=ok,
+                mean_score=mean_score,
+                mean_margin=mean_margin,
+            )
+    return rows
 
 
 def _report(
@@ -76,12 +92,10 @@ def _preset_report(
     kind: str, own: dict, presets: list[ChannelPreset], refs: ReferenceSet,
     repeats: int, cfg: DetectorConfig, keys, master_seed: int | None,
 ) -> SweepReport:
-    """Synthesize and detect one dataset per preset."""
+    """Synthesize one dataset per preset, sharing draws, and detect each."""
+    datasets = synth_datasets(list(keys), presets, repeats=repeats, master_seed=master_seed)
     rows: list[SweepRow] = []
-    for preset in presets:
-        traces = synth_dataset(
-            list(keys), preset, repeats=repeats, master_seed=master_seed
-        )
+    for preset, traces in zip(presets, datasets):
         rows.extend(_rows(preset.name, preset, traces, refs, cfg))
     return _report(kind, own, rows, repeats, keys, master_seed)
 
@@ -94,7 +108,13 @@ def run_preset_sweep(
     keys: tuple[KeyId, ...] = KEYS,
     master_seed: int | None = None,
 ) -> SweepReport:
-    """Accuracy over a ladder of named presets (or preset file paths)."""
+    """Accuracy over a ladder of named presets (or preset file paths).
+
+    The datasets come from one synth_datasets call: rungs that share a
+    seed and impairment fields (the open-space ladder under a master
+    seed) draw each (key, repeat)'s noise, interferers and glitches once,
+    and differ only in signal scale.
+    """
     presets = [get_preset(name) for name in preset_names]
     return _preset_report(
         "preset", {"presets": ",".join(preset_names)},

@@ -20,7 +20,14 @@ from emanakey import (
     synth_dataset,
 )
 from emanakey import channel
-from emanakey.channel import KNEE_GAIN_DB, _glitch_burst, _interference, clean_waveform
+from emanakey.channel import (
+    KNEE_GAIN_DB,
+    _glitch_burst,
+    _interference,
+    _robust_max,
+    clean_waveform,
+    synth_datasets,
+)
 from emanakey.edges import EdgeSeries
 from emanakey.keys import KEYS
 
@@ -30,6 +37,7 @@ from oracle import (
     inject_glitch_oracle,
     interference_oracle,
     radiate_oracle,
+    robust_max_oracle,
 )
 
 FS = 250e6
@@ -329,6 +337,31 @@ def test_glitch_burst_is_the_direct_formula(rate):
     assert np.array_equal(_glitch_burst(1.0, rate), glitch_burst_oracle(1.0, rate))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 2, 101, 3000, 3021])
+def test_robust_max_is_the_numpy_percentile_bit_for_bit(n, dtype):
+    rng = np.random.default_rng(n)
+    inputs = [
+        rng.normal(size=n),
+        np.round(rng.normal(size=n), 1),  # many equal values
+        np.zeros(n),
+        np.r_[np.zeros(n - 1), -2.5],  # a 0 percentile falls back to the max
+    ]
+    for x in inputs:
+        x = x.astype(dtype)
+        before = x.copy()
+        got = _robust_max(x)
+        assert type(got) is float
+        assert got == robust_max_oracle(x)
+        assert np.array_equal(x, before)
+
+
+def test_inject_glitch_on_a_trace_with_no_samples_adds_nothing():
+    empty = channel.EmanationTrace(np.zeros(0, dtype=np.float32), FS)
+    assert _robust_max(empty.samples) == 0.0
+    assert inject_glitch(empty, 2) == empty
+
+
 @pytest.mark.parametrize("base_amplitude", [None, 0.02])
 def test_inject_glitch_equals_two_copy_path(base_amplitude):
     traces = synth_dataset(
@@ -359,6 +392,52 @@ def test_synth_dataset_equals_per_trace_channel_composition(name):
         for key in keys
     ]
     assert traces == expected
+
+
+def _mixed_presets():
+    """The ladder, two glitch presets, identity, and presets that share a
+    rung's seed but change one impairment field, or keep them all and
+    change only the signal scale (glitch amplitude follows each preset's
+    own signal peak)."""
+    ladder = [get_preset(f"open-space-{d}m") for d in ("0.5", "2.5", "3", "3.8")]
+    office = get_preset("office-12m")
+    bursty = replace(office, name="bursty", glitch_rate=3.0)
+    return [
+        *ladder,
+        office,
+        get_preset("building-9.4m"),
+        get_preset("identity"),
+        replace(ladder[2], name="near-3m", gain_db=-70.0, shielding_db=6.0),
+        replace(ladder[3], name="quiet", noise_density=1e-9),
+        replace(ladder[0], name="no-fm", interferers=ladder[0].interferers[:2]),
+        bursty,
+        replace(bursty, name="bursty-far", gain_db=-90.0, body_coupling_gain=2.0),
+        replace(bursty, name="bursty-hot", glitch_amp=(5.0, 6.0)),
+    ]
+
+
+@pytest.mark.parametrize("rate", [250e6, 500e6])
+@pytest.mark.parametrize("master_seed", [7, None])
+def test_synth_datasets_equal_one_dataset_per_preset(master_seed, rate):
+    presets = _mixed_presets()
+    keys = list(KEYS[::9])
+    datasets = synth_datasets(keys, presets, repeats=2, sample_rate=rate, master_seed=master_seed)
+    assert len(datasets) == len(presets)
+    for preset, traces in zip(presets, datasets):
+        seed = preset.seed if master_seed is None else master_seed
+        alone = [
+            apply_channel(
+                clean_waveform(key, rate), preset, rate, ground_truth=key, stream=(seed, r)
+            )
+            for r in range(2)
+            for key in keys
+        ]
+        assert traces == alone
+        assert synth_dataset(keys, preset, 2, rate, master_seed) == alone
+    # The bursty preset shares office-12m's seed, noise and interferers,
+    # so only its glitches tell its traces apart: some were drawn.
+    bursty, office = datasets[-3], datasets[4]
+    assert sum(not np.array_equal(b.samples, o.samples) for b, o in zip(bursty, office)) > 5
 
 
 def test_apply_channel_stream_is_the_stream_it_records():

@@ -346,7 +346,9 @@ def test_count_below_one_is_a_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in stderr
 
 
-@pytest.mark.parametrize("rate", ["0", "-5", "inf", "nan"])
+# 1 and 3.6e7 are finite and positive, but the detector's 18 MHz band
+# edge needs more than 36 MS/s.
+@pytest.mark.parametrize("rate", ["0", "-5", "inf", "nan", "1", "3.6e7"])
 def test_bad_sample_rate_is_a_usage_error(tmp_path, capsys, rate):
     out_dir = tmp_path / "t"
     with pytest.raises(SystemExit) as exc:

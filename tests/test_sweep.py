@@ -1,8 +1,11 @@
 import hashlib
 
+import numpy as np
 import pytest
 
-from emanakey import sweep
+from emanakey import channel, sweep
+from emanakey.detector import detect_batch
+from emanakey.errors import NoSignalError
 from emanakey.keys import KEYS
 from emanakey.traceio import read_report, write_report
 
@@ -29,6 +32,56 @@ def test_glitch_sweep_synthesizes_its_dataset_once(refs, monkeypatch):
         ).rows
     ]
     assert report.rows == per_count
+
+
+LADDER = ["open-space-0.5m", "open-space-2.5m", "open-space-3m", "open-space-3.8m"]
+
+
+def test_ladder_sweep_draws_each_interferer_once_per_trace(refs, monkeypatch):
+    # The rungs share seed, noise, interferers and glitch rate, and differ
+    # only in gain: one draw per (key, repeat) serves all four.
+    calls = []
+    interference = channel._interference
+
+    def counting(*args):
+        calls.append(args[0])
+        return interference(*args)
+
+    monkeypatch.setattr(channel, "_interference", counting)
+    sweep.run_preset_sweep(LADDER, refs, repeats=2, keys=KEYS3, master_seed=4)
+    per_trace = len(channel.get_preset(LADDER[0]).interferers)
+    assert len(calls) == per_trace * len(KEYS3) * 2
+
+
+@pytest.mark.parametrize("repeats", [9, 10])
+def test_row_means_are_numpy_means_of_each_keys_list(refs, repeats):
+    # At 9 and 10 values np.mean's pairwise sum can differ from a left to
+    # right one. A key listed twice gets twice the traces, so rows hold
+    # unequal counts.
+    keys = [*KEYS5, KEYS5[1]]
+    preset = channel.get_preset("open-space-3.8m")
+    report = sweep.run_preset_sweep(
+        ["open-space-3.8m"], refs, repeats=repeats, keys=keys, master_seed=6
+    )
+    traces = channel.synth_dataset(keys, preset, repeats=repeats, master_seed=6)
+    outcomes = {}
+    for trace, result in zip(traces, detect_batch(traces, refs)):
+        record = (
+            (False, 0.0, 0.0) if isinstance(result, NoSignalError)
+            else (result.key == trace.ground_truth, result.score, result.margin)
+        )
+        outcomes.setdefault(trace.ground_truth, []).append(record)
+    assert [row.key for row in report.rows] == [key.label for key in KEYS5]
+    sequential_differs = False
+    for row, key in zip(report.rows, KEYS5):
+        ok, scores, margins = zip(*outcomes[key])
+        assert row.repeats == len(scores) == repeats * (2 if key == KEYS5[1] else 1)
+        assert row.correct == sum(ok) and type(row.correct) is int
+        assert row.mean_score == np.mean(scores) and type(row.mean_score) is float
+        assert row.mean_margin == np.mean(margins)
+        sequential_differs |= sum(margins) / len(margins) != np.mean(margins)
+        sequential_differs |= sum(scores) / len(scores) != np.mean(scores)
+    assert sequential_differs
 
 
 @pytest.mark.parametrize(
