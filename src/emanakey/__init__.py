@@ -7,7 +7,6 @@ recovers the typed key by matching detected edge series against the
 """
 
 from .bits import (
-    BitStream,
     LineState,
     bit_destuff,
     bit_stuff,

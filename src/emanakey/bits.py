@@ -10,7 +10,6 @@ bound the gap between transitions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import FramingError, MalformedStreamError
@@ -31,20 +30,6 @@ DIFFERENTIAL_LEVEL = {LineState.J: 1.0, LineState.K: -1.0, LineState.SE0: 0.0}
 EOP_STATES = (LineState.SE0, LineState.SE0, LineState.J)
 
 
-@dataclass(frozen=True)
-class BitStream:
-    """Ordered bits in transmission order; `stuffed` marks post-stuffing streams."""
-
-    bits: tuple[int, ...]
-    stuffed: bool = False
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __iter__(self):
-        return iter(self.bits)
-
-
 def bits_from_bytes(data: bytes | Sequence[int]) -> list[int]:
     """Serialize bytes LSB-first, the transmission order for every field."""
     return [(byte >> i) & 1 for byte in data for i in range(8)]
@@ -58,11 +43,7 @@ def int_from_bits(bits: Sequence[int]) -> int:
     return sum(b << i for i, b in enumerate(bits))
 
 
-def _coerce(bits: "BitStream | Sequence[int]") -> Sequence[int]:
-    return bits.bits if isinstance(bits, BitStream) else bits
-
-
-def bit_stuff(bits: "BitStream | Sequence[int]") -> BitStream:
+def bit_stuff(bits: Sequence[int]) -> tuple[int, ...]:
     """Insert a '0' after every run of six '1's.
 
     The insertion fires even when the run ends the stream, so a trailing
@@ -70,7 +51,7 @@ def bit_stuff(bits: "BitStream | Sequence[int]") -> BitStream:
     """
     out: list[int] = []
     run = 0
-    for b in _coerce(bits):
+    for b in bits:
         out.append(b)
         if b:
             run += 1
@@ -79,15 +60,15 @@ def bit_stuff(bits: "BitStream | Sequence[int]") -> BitStream:
                 run = 0
         else:
             run = 0
-    return BitStream(tuple(out), stuffed=True)
+    return tuple(out)
 
 
-def bit_destuff(bits: "BitStream | Sequence[int]") -> BitStream:
+def bit_destuff(bits: Sequence[int]) -> tuple[int, ...]:
     """Remove stuffed zeros; inverse of bit_stuff on its image."""
     out: list[int] = []
     run = 0
     skip_next = False
-    for b in _coerce(bits):
+    for b in bits:
         if skip_next:
             if b != 0:
                 raise MalformedStreamError("expected stuffed '0' after six ones")
@@ -101,16 +82,16 @@ def bit_destuff(bits: "BitStream | Sequence[int]") -> BitStream:
                 skip_next = True
         else:
             run = 0
-    return BitStream(tuple(out), stuffed=False)
+    return tuple(out)
 
 
 def nrzi_encode(
-    bits: "BitStream | Sequence[int]", initial: LineState = LineState.J
+    bits: Sequence[int], initial: LineState = LineState.J
 ) -> list[LineState]:
     """NRZI: '0' toggles the J/K state, '1' holds it. One symbol per bit."""
     state = initial
     symbols = []
-    for b in _coerce(bits):
+    for b in bits:
         if b == 0:
             state = LineState.K if state == LineState.J else LineState.J
         symbols.append(state)
@@ -119,7 +100,7 @@ def nrzi_encode(
 
 def nrzi_decode(
     symbols: Iterable[LineState], initial: LineState = LineState.J
-) -> BitStream:
+) -> tuple[int, ...]:
     """Inverse of nrzi_encode; SE0 inside the payload is a framing error."""
     prev = initial
     bits = []
@@ -128,5 +109,5 @@ def nrzi_decode(
             raise FramingError("SE0 inside packet payload")
         bits.append(1 if sym == prev else 0)
         prev = sym
-    return BitStream(tuple(bits), stuffed=False)
+    return tuple(bits)
 

@@ -258,12 +258,12 @@ def cmd_show_frame(args) -> int:
             f"({len(stuffed) - len(bits)} stuffed){crc}"
         )
         if args.format == "bits":
-            print(f"    {''.join(map(str, stuffed.bits))}")
+            print(f"    {''.join(map(str, stuffed))}")
         elif args.format == "symbols":
             print(f"    {''.join(s.name[0] if s.name != 'SE0' else '0' for s in packet.line_states())}")
         elif args.format == "hex":
             raw = bytes(
-                int_from_bits(bits.bits[n : n + 8]) for n in range(0, len(bits), 8)
+                int_from_bits(bits[n : n + 8]) for n in range(0, len(bits), 8)
             )
             print(f"    {raw.hex(' ')}")
     print(f"edge series: {series.ones} edges in {len(series)} slots")

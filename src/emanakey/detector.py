@@ -8,11 +8,12 @@ minimum separation, form a binary edge series on a grid anchored at a
 detected peak, and return the reference with the highest slot agreement.
 
 Alignment has no hardware trigger to lean on, so the slot grid is anchored
-at a detected peak and searched: the first few peaks are tried as anchor
+at a detected peak and searched: the first three peaks are tried as anchor
 candidates (a single early noise peak must not wreck the grid) and the
-anchor's slot index is searched over a small window. Every stage after
-normalization is scale-free, so detection results are invariant to trace
-scaling.
+anchor's slot index is searched over a small window. The bit width that
+spaces peaks and slots comes from the references' bit rate. Every stage
+after normalization is relative to A, so detection results are invariant
+to trace scaling.
 
 detect_batch is the one implementation: it runs same-length traces as
 rows of a matrix, and detect is detect_batch on one trace. Every row gets
@@ -42,34 +43,40 @@ from .errors import (
     NoSignalError,
     SampleRateError,
 )
+from .frames import FULL_SPEED_BIT_RATE
 from .keys import KeyId
 
 
-_INT_FIELDS = ("offset_search", "anchor_candidates", "filter_taps", "min_peaks")
+# The scale rule is fixed: normalize to +/-A, then zero everything below A/2.
+AMPLITUDE = 3.3  # V, normalization target A
+FLOOR = AMPLITUDE / 2.0
+# Odd length: linear phase (type I), so the 'same' envelope starts
+# (FILTER_TAPS - 1) // 2 = 160 samples into the filtered signal.
+FILTER_TAPS = 321
+ANCHOR_CANDIDATES = 3  # leading peaks tried as grid anchor
+
+_INT_FIELDS = ("offset_search", "min_peaks")
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Detection parameters; defaults are the operating values."""
+    """Detection parameters; defaults are the operating values.
+
+    Spacings are fractions of a bit, whose width comes from the
+    references' bit rate.
+    """
 
     band_low: float = 10e6  # Hz
     band_high: float = 18e6  # Hz
-    amplitude: float = 3.3  # V, normalization target A
     skip_fraction: float = 0.01  # top fraction ignored when scaling
-    zero_floor: float | None = None  # volts; defaults to A/2
     min_peak_separation: float = 2.0 / 3.0  # fraction of a bit width
     proximity_window: float = 1.0 / 3.0  # fraction of a bit width
     offset_search: int = 2  # +/- slots around each anchor
-    anchor_candidates: int = 3  # leading peaks tried as grid anchor
-    bit_rate: float = 12e6
-    filter_taps: int = 321
     min_peaks: int = 10  # fewer detected peaks -> no-signal error
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "zero_floor" and value is None:
-                continue
             integer = f.name in _INT_FIELDS
             if isinstance(value, bool) or not isinstance(
                 value, int if integer else (int, float)
@@ -78,33 +85,16 @@ class DetectorConfig:
                 raise TypeError(f"{f.name} must be {kind}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
-        for name in ("band_low", "amplitude", "bit_rate", "min_peak_separation",
-                     "proximity_window", "anchor_candidates", "filter_taps"):
+        for name in ("band_low", "min_peak_separation", "proximity_window"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         for name in ("offset_search", "min_peaks"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.zero_floor is not None and self.zero_floor <= 0:
-            raise ValueError("zero_floor must be > 0 or None")
         if self.band_low >= self.band_high:
             raise ValueError("band_low must be below band_high")
         if not 0 < self.skip_fraction < 0.5:
             raise ValueError("skip_fraction must lie in (0, 0.5)")
-        if self.filter_taps % 2 == 0:
-            raise ValueError("filter_taps must be odd (linear phase, type I)")
-
-    @property
-    def floor(self) -> float:
-        return self.amplitude / 2.0 if self.zero_floor is None else self.zero_floor
-
-    @property
-    def bit_width(self) -> float:
-        return 1.0 / self.bit_rate
-
-    def to_file(self, path: str | Path) -> None:
-        doc = {key: getattr(self, name) for name, key in _FILE_KEYS}
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DetectorConfig":
@@ -113,26 +103,24 @@ class DetectorConfig:
         field_of = {key: name for name, key in _FILE_KEYS}
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-            if not isinstance(doc, dict) or not doc.keys() <= field_of.keys():
+            if not isinstance(doc, dict):
                 raise ValueError(f"expected an object keyed by {sorted(field_of)}")
+            unknown = sorted(doc.keys() - field_of.keys())
+            if unknown:
+                raise ValueError(f"unknown keys {unknown}; known: {sorted(field_of)}")
             return cls(**{field_of[key]: value for key, value in doc.items()})
         except (TypeError, ValueError) as exc:
             raise FileFormatError(f"{path}: not a detector config: {exc}") from exc
 
 
-# (field, key in the config file), in file order.
+# (field, key in the config file).
 _FILE_KEYS = (
     ("band_low", "band_low_hz"),
     ("band_high", "band_high_hz"),
-    ("amplitude", "amplitude_v"),
     ("skip_fraction", "skip_fraction"),
-    ("zero_floor", "zero_floor_v"),
     ("min_peak_separation", "min_peak_separation_bits"),
     ("proximity_window", "proximity_window_bits"),
     ("offset_search", "offset_search_slots"),
-    ("anchor_candidates", "anchor_candidates"),
-    ("bit_rate", "bit_rate_bps"),
-    ("filter_taps", "filter_taps"),
     ("min_peaks", "min_peaks"),
 )
 
@@ -157,9 +145,7 @@ class DetectionResult:
 
 
 @lru_cache(maxsize=8)
-def _bandpass_taps(
-    sample_rate: float, band_low: float, band_high: float, taps: int
-) -> np.ndarray:
+def _bandpass_taps(sample_rate: float, band_low: float, band_high: float) -> np.ndarray:
     # Gaussian-cored magnitude response with -3 dB points at the band
     # edges. A flat-top design truncates the edge-pulse spectrum sharply
     # and its time-domain ringing bleeds each pulse into neighboring bit
@@ -172,13 +158,13 @@ def _bandpass_taps(
     resp[freqs > center + 3.5 * sigma_f] = 0.0
     resp[freqs < center - 3.5 * sigma_f] = 0.0
     return sp_signal.firwin2(
-        taps, freqs, resp, fs=sample_rate, window=("kaiser", 5.0)
+        FILTER_TAPS, freqs, resp, fs=sample_rate, window=("kaiser", 5.0)
     )
 
 
 @lru_cache(maxsize=16)
 def _analytic_filter(
-    n: int, sample_rate: float, band_low: float, band_high: float, taps: int
+    n: int, sample_rate: float, band_low: float, band_high: float
 ) -> tuple[int, np.ndarray]:
     """FFT size and bandpass spectrum with the analytic-signal weights folded in.
 
@@ -186,7 +172,7 @@ def _analytic_filter(
     other positive frequency; scaling by 2 is exact, so folding them into
     the filter changes no bit of the product.
     """
-    h = _bandpass_taps(sample_rate, band_low, band_high, taps)
+    h = _bandpass_taps(sample_rate, band_low, band_high)
     nfft = sp_fft.next_fast_len(n + h.size - 1)
     weights = np.full(nfft // 2 + 1, 2.0)
     weights[0] = 1.0
@@ -251,9 +237,7 @@ def _band_envelope(
             f"sample rate {sample_rate:g} too low for a {cfg.band_high:g} Hz band edge"
         )
     b, n = len(rows), len(rows[0])
-    nfft, h_spec = _analytic_filter(
-        n, sample_rate, cfg.band_low, cfg.band_high, cfg.filter_taps
-    )
+    nfft, h_spec = _analytic_filter(n, sample_rate, cfg.band_low, cfg.band_high)
     ws = _workspace(b, nfft)
     # Zero-padded float64 rows: the bits rfft(x, nfft) pads x to.
     x = ws.padded[:b]
@@ -267,7 +251,7 @@ def _band_envelope(
     # The zeroed negative half makes the ifft the analytic signal.
     spectrum[:, nfft // 2 + 1 :] = 0.0
     np.fft.ifft(spectrum, out=spectrum)
-    start = (cfg.filter_taps - 1) // 2  # 'same' alignment, group delay removed
+    start = (FILTER_TAPS - 1) // 2  # 'same' alignment, group delay removed
     envelope = np.abs(spectrum[:, start : start + n], out=ws.envelope[:b, :n])
     return envelope, x[:, :n]
 
@@ -287,8 +271,8 @@ def _normalize(
         np.abs(x, out=scratch), 100.0 * (1.0 - cfg.skip_fraction)
     )
     dead = s_max <= 0.0
-    x *= np.divide(cfg.amplitude, s_max, out=np.zeros_like(s_max), where=~dead)
-    np.clip(x, -cfg.amplitude, cfg.amplitude, out=x)
+    x *= np.divide(AMPLITUDE, s_max, out=np.zeros_like(s_max), where=~dead)
+    np.clip(x, -AMPLITUDE, AMPLITUDE, out=x)
     return dead[..., 0]
 
 
@@ -307,7 +291,7 @@ def normalize(
 
 
 def _peak_rows(
-    normalized: np.ndarray, sample_rate: float, cfg: DetectorConfig
+    normalized: np.ndarray, sample_rate: float, bit_width: float, cfg: DetectorConfig
 ) -> list[np.ndarray]:
     """Peak times (s) of each row of |x| floored below A/2; rows may be empty.
 
@@ -316,10 +300,8 @@ def _peak_rows(
     find_peaks needs no height test.
     """
     y = np.abs(normalized, out=normalized)
-    y *= y >= cfg.floor
-    min_sep = max(
-        1, int(round(cfg.min_peak_separation * cfg.bit_width * sample_rate))
-    )
+    y *= y >= FLOOR
+    min_sep = max(1, int(round(cfg.min_peak_separation * bit_width * sample_rate)))
     return [sp_signal.find_peaks(row, distance=min_sep)[0] / sample_rate for row in y]
 
 
@@ -330,11 +312,11 @@ def threshold_and_peaks(
 ) -> np.ndarray:
     """Peak times (s) of |x| after flooring values below A/2 to zero.
 
-    No two peaks are closer than min_peak_separation of a bit width; the
-    higher peak wins a conflict window.
+    No two peaks are closer than min_peak_separation of a full-speed bit
+    width; the higher peak wins a conflict window.
     """
     y = np.array(normalized, dtype=np.float64)[None, :]
-    (times,) = _peak_rows(y, sample_rate, cfg)
+    (times,) = _peak_rows(y, sample_rate, 1.0 / FULL_SPEED_BIT_RATE, cfg)
     if times.size == 0:
         raise NoSignalError("no peaks above the amplitude floor")
     return times
@@ -376,18 +358,16 @@ def _grid_base(shape: tuple[int, int], n_slots: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _anchor_grids(
-    anchor_candidates: int, offset_search: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _anchor_grids(offset_search: int) -> tuple[np.ndarray, np.ndarray]:
     """The anchoring peak and anchor slot of each grid: two (grids,) int arrays.
 
     Grid j anchors slot ``slots[j]`` at peak ``peaks[j]``; each of the
-    leading anchor_candidates peaks is tried at every slot within
+    leading ANCHOR_CANDIDATES peaks is tried at every slot within
     +/-offset_search of slot 0.
     """
     offsets = np.arange(-offset_search, offset_search + 1)
-    peaks = np.repeat(np.arange(anchor_candidates), offsets.size)
-    return _read_only(peaks), _read_only(np.tile(offsets, anchor_candidates))
+    peaks = np.repeat(np.arange(ANCHOR_CANDIDATES), offsets.size)
+    return _read_only(peaks), _read_only(np.tile(offsets, ANCHOR_CANDIDATES))
 
 
 def _scores(slot_rows: np.ndarray, refs: ReferenceSet) -> np.ndarray:
@@ -447,21 +427,20 @@ def _result_from_scores(
 
 
 def _match_peaks(
-    peak_lists: list[np.ndarray], refs: ReferenceSet, cfg: DetectorConfig
+    peak_lists: list[np.ndarray], refs: ReferenceSet, bit: float, cfg: DetectorConfig
 ) -> list[DetectionResult]:
     """Best (anchor, offset) grid per key for each row of peak times.
 
-    The first anchor_candidates peaks of a row are tried as grid anchors,
+    The first ANCHOR_CANDIDATES peaks of a row are tried as grid anchors,
     each at every slot within +/-offset_search of slot 0.
     """
     keys = refs.keys_in_order()
     lengths = refs.lengths
     width = refs.slot_matrix.shape[1]
-    bit = 1.0 / refs.bit_rate
-    anchor_peaks, anchor_slots = _anchor_grids(cfg.anchor_candidates, cfg.offset_search)
+    anchor_peaks, anchor_slots = _anchor_grids(cfg.offset_search)
 
     # NaN pads ragged rows, and rows with fewer peaks than anchor candidates.
-    n_peaks = max(cfg.anchor_candidates, max(p.size for p in peak_lists))
+    n_peaks = max(ANCHOR_CANDIDATES, max(p.size for p in peak_lists))
     peaks = np.full((len(peak_lists), n_peaks), np.nan)
     for row, times in enumerate(peak_lists):
         peaks[row, : times.size] = times
@@ -496,15 +475,17 @@ def _detect_rows(
     """detect_batch on one chunk of same-length rows sampled at one rate.
 
     The envelope is scaled, floored and searched for peaks in place, in
-    this thread's workspace.
+    this thread's workspace. Peak spacing and the slot grid both take the
+    bit width from the references.
     """
+    bit = 1.0 / refs.bit_rate
     envelope, scratch = _band_envelope(rows, sample_rate, cfg)
     dead = _normalize(envelope, cfg, scratch)
     empty = envelope.shape[1] == 0
     outcomes: list[DetectionResult | NoSignalError | None] = []
     live: list[int] = []
     peak_lists: list[np.ndarray] = []
-    for row, times in enumerate(_peak_rows(envelope, sample_rate, cfg)):
+    for row, times in enumerate(_peak_rows(envelope, sample_rate, bit, cfg)):
         if dead[row]:
             outcomes.append(NoSignalError(
                 f"{'empty' if empty else 'all-zero'} trace cannot be normalized"
@@ -521,7 +502,7 @@ def _detect_rows(
             live.append(row)
             peak_lists.append(times)
     if live:
-        for row, result in zip(live, _match_peaks(peak_lists, refs, cfg)):
+        for row, result in zip(live, _match_peaks(peak_lists, refs, bit, cfg)):
             outcomes[row] = result
     return outcomes
 

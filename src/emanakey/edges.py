@@ -195,13 +195,18 @@ class ReferenceSet:
     """The per-key reference edge series, immutable once built.
 
     The scoring arrays are read-only, in key order, and built on first use.
+    A detection names a winner and a runner-up, so a set holds at least two
+    keys, each with at least one slot.
     """
 
     entries: dict[KeyId, EdgeSeries]
     bit_rate: float
-    method: str
 
     def __post_init__(self):
+        if len(self.entries) < 2:
+            raise ValueError(f"need at least 2 references, got {len(self.entries)}")
+        if any(len(e) == 0 for e in self.entries.values()):
+            raise ValueError("every reference needs at least one slot")
         widths = {e.bit_width for e in self.entries.values()}
         if len(widths) > 1:
             raise ValueError("all reference entries must share one bit width")
@@ -280,7 +285,7 @@ def build_reference_set(method: str = "analytic") -> ReferenceSet:
                 expected_slots=len(analytic),
             )
             entries[key] = replace(series, origin=0.0)
-    return ReferenceSet(entries=entries, bit_rate=FULL_SPEED_BIT_RATE, method=method)
+    return ReferenceSet(entries=entries, bit_rate=FULL_SPEED_BIT_RATE)
 
 
 def pairwise_distance(a: EdgeSeries, b: EdgeSeries, shift: int = 0) -> int:

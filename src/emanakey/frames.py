@@ -22,7 +22,6 @@ from functools import cached_property
 from . import crc
 from .bits import (
     EOP_STATES,
-    BitStream,
     LineState,
     bit_stuff,
     bits_from_bytes,
@@ -103,7 +102,7 @@ class Packet:
             return crc.crc16(self.payload)
         return None
 
-    def bits(self) -> BitStream:
+    def bits(self) -> tuple[int, ...]:
         """Unstuffed packet bits: SYNC, PID, fields, CRC."""
         out = list(SYNC_BITS) + bits_from_int(self.kind.pid_byte, 8)
         out += self.field_bits()
@@ -111,9 +110,9 @@ class Packet:
             out += bits_from_int(self.crc, 5)
         elif self.kind in _DATA_KINDS:
             out += bits_from_int(self.crc, 16)
-        return BitStream(tuple(out), stuffed=False)
+        return tuple(out)
 
-    def stuffed_bits(self) -> BitStream:
+    def stuffed_bits(self) -> tuple[int, ...]:
         return bit_stuff(self.bits())
 
     def line_states(self) -> list[LineState]:

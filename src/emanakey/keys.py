@@ -34,18 +34,15 @@ class HidReport:
 
     modifier: int
     keycodes: tuple[int, ...]
-    reserved: int = 0x00
 
     def __post_init__(self):
-        if self.reserved != 0x00:
-            raise ValueError("reserved byte must be 0x00")
         if len(self.keycodes) != 6:
             raise ValueError("boot report carries exactly 6 keycode slots")
         if sum(1 for k in self.keycodes if k) > 1:
             raise ValueError("single-keystroke report may set at most one keycode")
 
     def to_bytes(self) -> bytes:
-        return bytes([self.modifier, self.reserved, *self.keycodes])
+        return bytes([self.modifier, 0x00, *self.keycodes])  # reserved byte
 
 
 def _load_table() -> list[tuple[int, str, int, int]]:

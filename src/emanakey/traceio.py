@@ -154,6 +154,8 @@ def read_reference_set(path: str | Path) -> ReferenceSet:
         raise FileFormatError(f"{path}: bad magic {magic!r}, expected {REF_MAGIC!r}")
     if version != REF_VERSION:
         raise FileVersionError(f"{path}: unsupported reference version {version}")
+    if bit_rate == 0:
+        raise FileFormatError(f"{path}: bit rate 0")
     offset = _REF_HEADER.size
     bit_width = 1.0 / bit_rate
     entries: dict[KeyId, EdgeSeries] = {}
@@ -167,11 +169,15 @@ def read_reference_set(path: str | Path) -> ReferenceSet:
             raise TruncatedFileError(f"{path}: truncated slots for key {key_index}")
         packed = np.frombuffer(raw[offset : offset + nbytes], dtype=np.uint8)
         offset += nbytes
+        key = key_by_index(key_index)
+        if key in entries:
+            raise FileFormatError(f"{path}: key index {key_index} listed twice")
         slots = np.unpackbits(packed)[:slot_count]
-        entries[key_by_index(key_index)] = EdgeSeries(
-            slots=slots, bit_width=bit_width, origin=0.0
-        )
-    return ReferenceSet(entries=entries, bit_rate=float(bit_rate), method="file")
+        entries[key] = EdgeSeries(slots=slots, bit_width=bit_width, origin=0.0)
+    try:
+        return ReferenceSet(entries=entries, bit_rate=float(bit_rate))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: not a reference set: {exc}") from exc
 
 
 # --- sweep reports ------------------------------------------------------

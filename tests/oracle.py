@@ -40,7 +40,14 @@ from emanakey.channel import (
     Interferer,
     PulseShape,
 )
-from emanakey.detector import DEFAULT_CONFIG, DetectionResult, _bandpass_taps
+from emanakey.detector import (
+    AMPLITUDE,
+    ANCHOR_CANDIDATES,
+    DEFAULT_CONFIG,
+    FLOOR,
+    DetectionResult,
+    _bandpass_taps,
+)
 from emanakey.edges import EdgeSeries, ReferenceSet
 from emanakey.errors import NoSignalError, SampleRateError
 from emanakey.frames import Frame
@@ -216,7 +223,7 @@ def bandpass(samples: np.ndarray, sample_rate: float, cfg=DEFAULT_CONFIG) -> np.
         raise SampleRateError(
             f"sample rate {sample_rate:g} too low for a {cfg.band_high:g} Hz band edge"
         )
-    taps = _bandpass_taps(sample_rate, cfg.band_low, cfg.band_high, cfg.filter_taps)
+    taps = _bandpass_taps(sample_rate, cfg.band_low, cfg.band_high)
     x = np.asarray(samples, dtype=np.float64)
     return sp_signal.fftconvolve(x, taps, mode="same")
 
@@ -228,7 +235,7 @@ def amplitude_envelope(filtered: np.ndarray) -> np.ndarray:
 
 
 def _band_envelope_oracle(x: np.ndarray, sample_rate: float, cfg) -> np.ndarray:
-    taps = _bandpass_taps(sample_rate, cfg.band_low, cfg.band_high, cfg.filter_taps)
+    taps = _bandpass_taps(sample_rate, cfg.band_low, cfg.band_high)
     n = x.size
     nfft = next_fast_len(n + taps.size - 1)
     spec = np.fft.rfft(x, nfft) * np.fft.rfft(taps, nfft)
@@ -249,14 +256,13 @@ def detect_oracle(trace, refs: ReferenceSet, cfg=DEFAULT_CONFIG) -> DetectionRes
     s_max = np.percentile(np.abs(envelope), 100.0 * (1.0 - cfg.skip_fraction))
     if s_max <= 0.0:
         raise NoSignalError("all-zero trace cannot be normalized")
-    a = cfg.amplitude
+    a = AMPLITUDE
     normalized = np.clip(envelope * (a / s_max), -a, a)
     y = np.abs(normalized)
-    y[y < cfg.floor] = 0.0
-    min_sep = max(
-        1, int(round(cfg.min_peak_separation * cfg.bit_width * trace.sample_rate))
-    )
-    peaks, _ = sp_signal.find_peaks(y, height=cfg.floor, distance=min_sep)
+    y[y < FLOOR] = 0.0
+    bit = 1.0 / refs.bit_rate
+    min_sep = max(1, int(round(cfg.min_peak_separation * bit * trace.sample_rate)))
+    peaks, _ = sp_signal.find_peaks(y, height=FLOOR, distance=min_sep)
     if peaks.size == 0:
         raise NoSignalError("no peaks above the amplitude floor")
     peak_times = peaks / trace.sample_rate
@@ -273,9 +279,8 @@ def detect_oracle(trace, refs: ReferenceSet, cfg=DEFAULT_CONFIG) -> DetectionRes
     for row, key in enumerate(keys):
         ref_bool[row, : lengths[row]] = refs[key].slots.astype(bool)
     in_range = np.arange(width)[None, :] < lengths[:, None]
-    bit = 1.0 / refs.bit_rate
 
-    n_anchors = min(cfg.anchor_candidates, peak_times.size)
+    n_anchors = min(ANCHOR_CANDIDATES, peak_times.size)
     offsets_1d = np.arange(-cfg.offset_search, cfg.offset_search + 1)
     anchors = np.repeat(peak_times[:n_anchors], offsets_1d.size)
     anchor_slots = np.tile(offsets_1d, n_anchors)

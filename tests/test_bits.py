@@ -11,7 +11,6 @@ from emanakey import (
     nrzi_encode,
 )
 from emanakey.bits import (
-    BitStream,
     LineState,
     bits_from_bytes,
     bits_from_int,
@@ -43,10 +42,8 @@ def test_stuff_fires_at_stream_end():
     assert list(bit_stuff(bits("111111"))) == bits("1111110")
 
 
-def test_stuff_sets_flag():
-    out = bit_stuff(bits("10101"))
-    assert isinstance(out, BitStream)
-    assert out.stuffed
+def test_stuff_returns_a_tuple():
+    assert bit_stuff(bits("10101")) == (1, 0, 1, 0, 1)
 
 
 def test_destuff_examples():

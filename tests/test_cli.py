@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -379,3 +380,44 @@ def test_trace_with_malformed_preset_is_a_data_error(tmp_path, capsys):
     assert rc == 3
     assert stderr.startswith("error: ") and str(path) in stderr
     assert "Traceback" not in stderr and not stdout
+
+
+def _emrf(bit_rate, entries):
+    """EMRF bytes for (key index, slots) entries, laid out as the writer does."""
+    from emanakey.traceio import _REF_ENTRY, _REF_HEADER
+
+    raw = _REF_HEADER.pack(b"EMRF", 1, bit_rate, len(entries))
+    for index, slots in entries:
+        raw += _REF_ENTRY.pack(index, len(slots)) + np.packbits(slots).tobytes()
+    return raw
+
+
+@pytest.mark.parametrize(
+    "case", ["zero-bit-rate", "no-entries", "one-entry", "key-twice", "no-slots"]
+)
+def test_malformed_reference_file_is_a_data_error(tmp_path, capsys, refs, case):
+    full = [(k.index, refs[k].slots) for k in refs.keys_in_order()]
+    bit_rate, entries = 12_000_000, full
+    if case == "zero-bit-rate":
+        bit_rate = 0
+    elif case == "no-entries":
+        entries = []
+    elif case == "one-entry":
+        entries = full[:1]
+    elif case == "key-twice":
+        entries = full + [(full[0][0], full[1][1])]
+    else:
+        entries = full[:5] + [(full[5][0], np.zeros(0, dtype=np.uint8))] + full[6:]
+    path = tmp_path / "refs.emrf"
+    path.write_bytes(_emrf(bit_rate, entries))
+    traces = tmp_path / "t"
+    run(["synth", "--keys", "a", "--preset", "identity", "--repeats", "1",
+         "--out-dir", str(traces)], capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, stdout, stderr = run(
+            ["detect", "--trace-dir", str(traces), "--refs", str(path)], capsys
+        )
+    assert rc == 3
+    assert stderr.startswith("error: ") and str(path) in stderr
+    assert not stdout

@@ -7,6 +7,7 @@ import pytest
 from emanakey import (
     DegenerateTraceError,
     DetectorConfig,
+    FileFormatError,
     NoSignalError,
     SampleRateError,
     apply_channel,
@@ -25,7 +26,11 @@ from emanakey import (
 from emanakey.channel import EmanationTrace, synth_dataset
 from emanakey.detector import (
     _CHUNK_ROWS,
+    AMPLITUDE,
+    ANCHOR_CANDIDATES,
     DEFAULT_CONFIG,
+    FILTER_TAPS,
+    FLOOR,
     _band_envelope,
     _grid_slots,
     _percentile_rows,
@@ -54,12 +59,14 @@ def identity_trace(label="a"):
 def test_config_defaults_are_operating_values():
     assert CFG.band_low == 10e6
     assert CFG.band_high == 18e6
-    assert CFG.amplitude == 3.3
+    assert AMPLITUDE == 3.3
     assert CFG.skip_fraction == 0.01
-    assert CFG.floor == pytest.approx(3.3 / 2)
+    assert FLOOR == pytest.approx(3.3 / 2)
     assert CFG.min_peak_separation == pytest.approx(2 / 3)
     assert CFG.proximity_window == pytest.approx(1 / 3)
     assert CFG.offset_search == 2
+    assert CFG.min_peaks == 10
+    assert FILTER_TAPS == 321 and ANCHOR_CANDIDATES == 3
 
 
 def test_config_validation():
@@ -67,29 +74,32 @@ def test_config_validation():
         DetectorConfig(band_low=20e6, band_high=18e6)
     with pytest.raises(ValueError):
         DetectorConfig(skip_fraction=0.6)
-    with pytest.raises(ValueError):
-        DetectorConfig(filter_taps=100)
     for bad in (
-        {"anchor_candidates": 0}, {"offset_search": -1}, {"min_peaks": -1},
-        {"filter_taps": -1}, {"bit_rate": 0.0}, {"amplitude": -3.3},
-        {"band_low": 0.0}, {"zero_floor": 0.0}, {"proximity_window": math.nan},
+        {"offset_search": -1}, {"min_peaks": -1},
+        {"band_low": 0.0}, {"proximity_window": math.nan},
         {"band_high": math.inf}, {"proximity_window": -1.0},
         {"proximity_window": 0.0}, {"min_peak_separation": 0.0},
         {"min_peak_separation": -0.5},
     ):
         with pytest.raises(ValueError):
             DetectorConfig(**bad)
-    for bad in ({"min_peaks": "12"}, {"offset_search": 2.0}, {"filter_taps": True},
-                {"amplitude": "3.3"}):
+    for bad in ({"min_peaks": "12"}, {"offset_search": 2.0}, {"min_peaks": True},
+                {"skip_fraction": "0.01"}):
         with pytest.raises(TypeError):
             DetectorConfig(**bad)
 
 
-def test_config_file_roundtrip(tmp_path):
-    cfg = DetectorConfig(offset_search=3, zero_floor=1.0)
+def test_config_file_with_every_key(tmp_path):
     path = tmp_path / "detector.json"
-    cfg.to_file(path)
-    assert DetectorConfig.from_file(path) == cfg
+    path.write_text(
+        '{"band_low_hz": 9e6, "band_high_hz": 17e6, "skip_fraction": 0.02,\n'
+        ' "min_peak_separation_bits": 0.5, "proximity_window_bits": 0.25,\n'
+        ' "offset_search_slots": 3, "min_peaks": 12}\n'
+    )
+    assert DetectorConfig.from_file(path) == DetectorConfig(
+        band_low=9e6, band_high=17e6, skip_fraction=0.02, min_peak_separation=0.5,
+        proximity_window=0.25, offset_search=3, min_peaks=12,
+    )
 
 
 def test_config_file_missing_keys_take_defaults(tmp_path):
@@ -98,21 +108,18 @@ def test_config_file_missing_keys_take_defaults(tmp_path):
     assert DetectorConfig.from_file(path) == DetectorConfig(min_peaks=12)
 
 
-def test_config_file_bytes(tmp_path):
-    cfg = DetectorConfig(
-        band_low=9e6, zero_floor=1.5, offset_search=3, anchor_candidates=4,
-        min_peaks=12, filter_taps=301,
-    )
+@pytest.mark.parametrize(
+    "key, value",
+    [("amplitude_v", 3.3), ("zero_floor_v", 1.65), ("bit_rate_bps", 12e6),
+     ("filter_taps", 321), ("anchor_candidates", 3)],
+)
+def test_config_file_with_a_fixed_setting_is_rejected(tmp_path, key, value):
+    # Each key restates a value the detector fixes: the scale, its floor,
+    # the references' bit rate, the filter length and the anchor count.
     path = tmp_path / "detector.json"
-    cfg.to_file(path)
-    assert path.read_text() == (
-        '{\n  "band_low_hz": 9000000.0,\n  "band_high_hz": 18000000.0,\n'
-        '  "amplitude_v": 3.3,\n  "skip_fraction": 0.01,\n  "zero_floor_v": 1.5,\n'
-        '  "min_peak_separation_bits": 0.6666666666666666,\n'
-        '  "proximity_window_bits": 0.3333333333333333,\n'
-        '  "offset_search_slots": 3,\n  "anchor_candidates": 4,\n'
-        '  "bit_rate_bps": 12000000.0,\n  "filter_taps": 301,\n  "min_peaks": 12\n}\n'
-    )
+    path.write_text(f'{{"min_peaks": 12, "{key}": {value}}}\n')
+    with pytest.raises(FileFormatError, match=key):
+        DetectorConfig.from_file(path)
 
 
 # --- bandpass -------------------------------------------------------------
@@ -579,7 +586,6 @@ def test_detect_batch_row_with_fewer_peaks_than_anchors(refs, offset_search):
             for key, s in refs.entries.items()
         },
         bit_rate=refs.bit_rate,
-        method=refs.method,
     )
     samples = np.zeros(3000)
     burst = _glitch_burst(1.0, FS)
@@ -708,3 +714,27 @@ def test_thread_keeps_no_workspace_above_a_full_sweep_chunk(refs):
     assert kept.padded.size <= detector._KEPT_CELLS
     detect(_long_trace(), refs)
     assert detector._local.workspace is kept
+
+
+def test_detect_batch_follows_the_references_bit_rate():
+    # USB low speed: eight times the full-speed bit width. Identity traces
+    # come back whole only if the slot grid takes the references' bit; the
+    # noisy ones equal the oracle only if the peak spacing takes it too.
+    from emanakey.edges import ReferenceSet, edges_analytic
+
+    entries, identity, noisy = {}, [], []
+    for key in KEYS:
+        frame = replace(build_keystroke_transaction(key), bit_rate=1.5e6)
+        entries[key] = edges_analytic(frame)
+        clean = radiate(frame)
+        identity.append(apply_channel(clean, get_preset("identity"), FS))
+        noisy.append(apply_channel(
+            clean, get_preset("open-space-3m"), FS, key, stream=(23, 0)
+        ))
+    slow = ReferenceSet(entries=entries, bit_rate=1.5e6)
+    results = detect_batch(identity, slow)
+    assert [r.key for r in results] == list(KEYS)
+    assert all(r.score == 1.0 for r in results)
+    assert all(r.detected_edges.bit_width == 1 / 1.5e6 for r in results)
+    got = [_outcome(r) for r in detect_batch(noisy, slow)]
+    assert got == [_oracle_outcome(t, slow) for t in noisy]

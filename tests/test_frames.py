@@ -30,7 +30,7 @@ def test_packet_sizes():
 def test_every_packet_starts_with_sync():
     frame = build_keystroke_transaction(key_by_label("Q"))
     for packet in frame.packets:
-        assert packet.bits().bits[:8] == (0, 0, 0, 0, 0, 0, 0, 1)
+        assert packet.bits()[:8] == (0, 0, 0, 0, 0, 0, 0, 1)
 
 
 def test_pid_bytes():

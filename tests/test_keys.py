@@ -70,7 +70,6 @@ def test_report_layout():
     raw = report.to_bytes()
     assert len(raw) == 8
     assert raw[1] == 0x00  # reserved byte
-    assert report.reserved == 0x00
 
 
 def test_uppercase_is_shift_plus_base():
