@@ -34,7 +34,6 @@ from .detector import (
     DetectorConfig,
     detect,
     detect_batch,
-    match,
     normalize,
     threshold_and_peaks,
 )

@@ -73,6 +73,12 @@ class Interferer:
         return [self.center_hz, self.bandwidth_hz, self.power]
 
 
+# ChannelPreset's scalar number fields; each must be finite and no bool.
+_PRESET_NUMBERS = (
+    "gain_db", "noise_density", "glitch_rate", "body_coupling_gain", "shielding_db",
+)
+
+
 @dataclass(frozen=True)
 class ChannelPreset:
     """Named parameter bundle for one environment/distance point."""
@@ -89,16 +95,29 @@ class ChannelPreset:
     description: str = ""
 
     def __post_init__(self):
+        for name in ("name", "description"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        numbers = [(name, getattr(self, name)) for name in _PRESET_NUMBERS]
+        numbers += [("glitch_amp", value) for value in self.glitch_amp]
+        numbers += [("interferers", v) for i in self.interferers for v in i.as_list()]
+        for name, value in numbers:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not 1.0 <= self.body_coupling_gain <= 4.0:
             raise ValueError("body_coupling_gain must lie in [1, 4]")
         if not 0.0 <= self.shielding_db <= 30.0:
             raise ValueError("shielding_db must lie in [0, 30]")
         if self.glitch_rate < 0:
             raise ValueError("glitch_rate must be >= 0")
-        if not self.noise_density >= 0:
+        if self.noise_density < 0:
             raise ValueError("noise_density must be >= 0")
         for interferer in self.interferers:
-            if not (interferer.bandwidth_hz >= 0 and interferer.power >= 0):
+            if interferer.bandwidth_hz < 0 or interferer.power < 0:
                 raise ValueError("interferer bandwidth and power must be >= 0")
         low, high = self.glitch_amp
         if not 0 <= low <= high:
@@ -472,10 +491,15 @@ def inject_glitch(
     the normalizer's clip level and exercises the top-1% skip. Callers
     that know the wanted-signal level (on traces whose raw amplitude is
     dominated by out-of-band interference) pass it explicitly. Bursts
-    land at ``times`` when given, else at seeded-random positions.
+    land at ``times`` (s, one per burst) when given, else at seeded-random
+    positions.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    if times is not None:
+        times = np.asarray(times, dtype=np.float64)
+        if times.shape != (count,):
+            raise ValueError(f"times must hold count ({count}) entries, got {times.size}")
     if count == 0:
         return trace
     amp_range = (amplitude, amplitude) if np.isscalar(amplitude) else tuple(amplitude)
@@ -485,7 +509,7 @@ def inject_glitch(
         count,
         amp_range,
         rng,
-        None if times is None else np.asarray(times, dtype=np.float64),
+        times,
         samples.size,
         trace.sample_rate,
     )

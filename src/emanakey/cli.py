@@ -73,6 +73,17 @@ def _positive(kind: type):
     return parse
 
 
+def _seed(spec: str) -> int:
+    """A master seed: an integer >= 0, as NumPy's seeding takes."""
+    try:
+        value = int(spec)
+        if value < 0:
+            raise ValueError(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {spec!r}") from None
+    return value
+
+
 def _sample_rate(spec: str) -> float:
     """A synthesis sample rate: finite and above twice the detector's upper band edge."""
     rate = _positive(float)(spec)
@@ -288,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keys", default="all", help="'all' or comma-separated labels")
     p.add_argument("--preset", required=True)
     p.add_argument("--repeats", type=_positive(int), default=2)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--sample-rate", type=_sample_rate, default=250e6)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
@@ -312,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=_positive(int), default=10)
     p.add_argument("--refs", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_sweep)

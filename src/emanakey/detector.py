@@ -11,7 +11,7 @@ Alignment has no hardware trigger to lean on, so the slot grid is anchored
 at a detected peak and searched: the first three peaks are tried as anchor
 candidates (a single early noise peak must not wreck the grid) and the
 anchor's slot index is searched over a small window. The bit width that
-spaces peaks and slots comes from the references' bit rate. Every stage
+spaces peaks and slots is the one every reference shares. Every stage
 after normalization is relative to A, so detection results are invariant
 to trace scaling.
 
@@ -31,7 +31,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
@@ -63,7 +62,7 @@ class DetectorConfig:
     """Detection parameters; defaults are the operating values.
 
     Spacings are fractions of a bit, whose width comes from the
-    references' bit rate.
+    references.
     """
 
     band_low: float = 10e6  # Hz
@@ -382,57 +381,14 @@ def _scores(slot_rows: np.ndarray, refs: ReferenceSet) -> np.ndarray:
     return 1.0 - mismatches / refs.lengths
 
 
-def match(
-    detected: EdgeSeries,
-    refs: ReferenceSet,
-    cfg: DetectorConfig = DEFAULT_CONFIG,
-) -> DetectionResult:
-    """Highest-agreement reference, searched over +/-offset_search shifts.
-
-    Ties resolve to the lowest key index and are flagged.
-    """
-    width = refs.slot_matrix.shape[1]
-    search = cfg.offset_search
-    base = np.zeros(width + 2 * search, dtype=np.uint8)
-    n = min(len(detected), width + search)
-    base[search : search + n] = detected.slots[:n]
-    shifts = np.arange(-search, search + 1)
-    # Window j of the padded series is the series shifted by shifts[j].
-    scores = _scores(sliding_window_view(base, width), refs)
-    best = np.argmax(scores, axis=0)  # first maximal shift per key
-    best_per_key = scores[best, np.arange(scores.shape[1])]
-    return _result_from_scores(
-        refs.keys_in_order(), best_per_key, shifts[best], detected_series=detected
-    )
-
-
-def _result_from_scores(
-    keys: list[KeyId],
-    scores: np.ndarray,
-    offsets: np.ndarray,
-    detected_series: EdgeSeries,
-) -> DetectionResult:
-    order = np.argsort(-scores, kind="stable")  # stable: ties -> lowest index
-    winner, runner = int(order[0]), int(order[1])
-    tie = bool(scores[winner] == scores[runner])
-    return DetectionResult(
-        key=keys[winner],
-        score=float(scores[winner]),
-        runner_up=keys[runner],
-        runner_up_score=float(scores[runner]),
-        detected_edges=detected_series,
-        alignment_offset=int(offsets[winner]),
-        tie=tie,
-    )
-
-
 def _match_peaks(
     peak_lists: list[np.ndarray], refs: ReferenceSet, bit: float, cfg: DetectorConfig
 ) -> list[DetectionResult]:
     """Best (anchor, offset) grid per key for each row of peak times.
 
     The first ANCHOR_CANDIDATES peaks of a row are tried as grid anchors,
-    each at every slot within +/-offset_search of slot 0.
+    each at every slot within +/-offset_search of slot 0. Ties resolve to
+    the lowest key index and are flagged.
     """
     keys = refs.keys_in_order()
     lengths = refs.lengths
@@ -453,16 +409,22 @@ def _match_peaks(
     best = scores.max(axis=1)
     results = []
     for row in range(len(peak_lists)):
-        winner = int(np.argmax(best[row]))
+        order = np.argsort(-best[row], kind="stable")  # stable: ties -> lowest index
+        winner, runner = int(order[0]), int(order[1])
         g = int(best_grid[row, winner])
-        detected = EdgeSeries(
-            slots=grids[row, g, : lengths[winner]],
-            bit_width=bit,
-            origin=float(anchors[row, g]) - int(anchor_slots[g]) * bit,
-        )
-        results.append(
-            _result_from_scores(keys, best[row], anchor_slots[best_grid[row]], detected)
-        )
+        results.append(DetectionResult(
+            key=keys[winner],
+            score=float(best[row, winner]),
+            runner_up=keys[runner],
+            runner_up_score=float(best[row, runner]),
+            detected_edges=EdgeSeries(
+                slots=grids[row, g, : lengths[winner]],
+                bit_width=bit,
+                origin=float(anchors[row, g]) - int(anchor_slots[g]) * bit,
+            ),
+            alignment_offset=int(anchor_slots[g]),
+            tie=bool(best[row, winner] == best[row, runner]),
+        ))
     return results
 
 
@@ -478,7 +440,7 @@ def _detect_rows(
     this thread's workspace. Peak spacing and the slot grid both take the
     bit width from the references.
     """
-    bit = 1.0 / refs.bit_rate
+    bit = refs.bit_width
     envelope, scratch = _band_envelope(rows, sample_rate, cfg)
     dead = _normalize(envelope, cfg, scratch)
     empty = envelope.shape[1] == 0

@@ -196,11 +196,11 @@ class ReferenceSet:
 
     The scoring arrays are read-only, in key order, and built on first use.
     A detection names a winner and a runner-up, so a set holds at least two
-    keys, each with at least one slot.
+    keys, each with at least one slot. All entries share one bit width,
+    which is the set's time base.
     """
 
     entries: dict[KeyId, EdgeSeries]
-    bit_rate: float
 
     def __post_init__(self):
         if len(self.entries) < 2:
@@ -213,6 +213,15 @@ class ReferenceSet:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @property
+    def bit_width(self) -> float:
+        """The slot width (s) every entry shares."""
+        return next(iter(self.entries.values())).bit_width
+
+    @property
+    def bit_rate(self) -> float:
+        return 1.0 / self.bit_width
 
     def __getitem__(self, key: KeyId) -> EdgeSeries:
         return self.entries[key]
@@ -285,7 +294,7 @@ def build_reference_set(method: str = "analytic") -> ReferenceSet:
                 expected_slots=len(analytic),
             )
             entries[key] = replace(series, origin=0.0)
-    return ReferenceSet(entries=entries, bit_rate=FULL_SPEED_BIT_RATE)
+    return ReferenceSet(entries=entries)
 
 
 def pairwise_distance(a: EdgeSeries, b: EdgeSeries, shift: int = 0) -> int:

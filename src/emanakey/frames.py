@@ -16,7 +16,7 @@ and can be included via ``window="full"``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import crc
@@ -54,7 +54,6 @@ class PacketKind(enum.Enum):
 
 _TOKEN_KINDS = {PacketKind.IN, PacketKind.SOF}
 _DATA_KINDS = {PacketKind.DATA0, PacketKind.DATA1}
-_HANDSHAKE_KINDS = {PacketKind.ACK, PacketKind.NAK}
 
 
 @dataclass(frozen=True)
@@ -74,9 +73,9 @@ class Packet:
     frame_number: int | None = None
 
     def __post_init__(self):
-        if self.kind in _TOKEN_KINDS and self.kind is not PacketKind.SOF:
+        if self.kind is PacketKind.IN:
             if self.address is None or self.endpoint is None:
-                raise ValueError(f"{self.kind.name} token needs address and endpoint")
+                raise ValueError("IN token needs address and endpoint")
             if not 0 <= self.address < 128 or not 0 <= self.endpoint < 16:
                 raise ValueError("address is 7 bits, endpoint is 4 bits")
         if self.kind is PacketKind.SOF and self.frame_number is None:
@@ -88,7 +87,7 @@ class Packet:
         """Field content after the PID, before the CRC, in wire order."""
         if self.kind is PacketKind.SOF:
             return bits_from_int(self.frame_number, 11)
-        if self.kind in _TOKEN_KINDS:
+        if self.kind is PacketKind.IN:
             return bits_from_int(self.address, 7) + bits_from_int(self.endpoint, 4)
         if self.kind in _DATA_KINDS:
             return bits_from_bytes(self.payload)
@@ -96,7 +95,7 @@ class Packet:
 
     @cached_property
     def crc(self) -> int | None:
-        if self.kind in _TOKEN_KINDS or self.kind is PacketKind.SOF:
+        if self.kind in _TOKEN_KINDS:
             return crc.crc5(self.field_bits())
         if self.kind in _DATA_KINDS:
             return crc.crc16(self.payload)
@@ -106,7 +105,7 @@ class Packet:
         """Unstuffed packet bits: SYNC, PID, fields, CRC."""
         out = list(SYNC_BITS) + bits_from_int(self.kind.pid_byte, 8)
         out += self.field_bits()
-        if self.kind in _TOKEN_KINDS or self.kind is PacketKind.SOF:
+        if self.kind in _TOKEN_KINDS:
             out += bits_from_int(self.crc, 5)
         elif self.kind in _DATA_KINDS:
             out += bits_from_int(self.crc, 16)

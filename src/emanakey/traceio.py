@@ -175,7 +175,7 @@ def read_reference_set(path: str | Path) -> ReferenceSet:
         slots = np.unpackbits(packed)[:slot_count]
         entries[key] = EdgeSeries(slots=slots, bit_width=bit_width, origin=0.0)
     try:
-        return ReferenceSet(entries=entries, bit_rate=float(bit_rate))
+        return ReferenceSet(entries=entries)
     except ValueError as exc:
         raise FileFormatError(f"{path}: not a reference set: {exc}") from exc
 

@@ -20,6 +20,11 @@ envelope is checked against.
 The detection oracle is the single-trace detector: its own fused
 bandpass-envelope, one percentile, one find_peaks, and every anchor grid
 scored against every reference through a 3-D elementwise `!=` tensor.
+
+`match` scores a given edge series, shifted by up to +/-offset_search
+slots, against every reference through the production `_scores` kernel:
+the slot-flip tolerance check (acceptance criterion 8) corrupts reference
+series directly, with no trace to detect from.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sp_signal
 from scipy.fft import next_fast_len
 
@@ -47,6 +53,7 @@ from emanakey.detector import (
     FLOOR,
     DetectionResult,
     _bandpass_taps,
+    _scores,
 )
 from emanakey.edges import EdgeSeries, ReferenceSet
 from emanakey.errors import NoSignalError, SampleRateError
@@ -260,7 +267,7 @@ def detect_oracle(trace, refs: ReferenceSet, cfg=DEFAULT_CONFIG) -> DetectionRes
     normalized = np.clip(envelope * (a / s_max), -a, a)
     y = np.abs(normalized)
     y[y < FLOOR] = 0.0
-    bit = 1.0 / refs.bit_rate
+    bit = refs.bit_width
     min_sep = max(1, int(round(cfg.min_peak_separation * bit * trace.sample_rate)))
     peaks, _ = sp_signal.find_peaks(y, height=FLOOR, distance=min_sep)
     if peaks.size == 0:
@@ -313,5 +320,34 @@ def detect_oracle(trace, refs: ReferenceSet, cfg=DEFAULT_CONFIG) -> DetectionRes
         runner_up_score=float(best_per_key[runner]),
         detected_edges=detected,
         alignment_offset=int(best_offsets[winner]),
+        tie=bool(best_per_key[winner] == best_per_key[runner]),
+    )
+
+
+def match(detected: EdgeSeries, refs: ReferenceSet, cfg=DEFAULT_CONFIG) -> DetectionResult:
+    """Highest-agreement reference, searched over +/-offset_search shifts.
+
+    Ties resolve to the lowest key index and are flagged.
+    """
+    width = refs.slot_matrix.shape[1]
+    search = cfg.offset_search
+    base = np.zeros(width + 2 * search, dtype=np.uint8)
+    n = min(len(detected), width + search)
+    base[search : search + n] = detected.slots[:n]
+    shifts = np.arange(-search, search + 1)
+    # Window j of the padded series is the series shifted by shifts[j].
+    scores = _scores(sliding_window_view(base, width), refs)
+    best = np.argmax(scores, axis=0)  # first maximal shift per key
+    best_per_key = scores[best, np.arange(scores.shape[1])]
+    keys = refs.keys_in_order()
+    order = np.argsort(-best_per_key, kind="stable")  # stable: ties -> lowest index
+    winner, runner = int(order[0]), int(order[1])
+    return DetectionResult(
+        key=keys[winner],
+        score=float(best_per_key[winner]),
+        runner_up=keys[runner],
+        runner_up_score=float(best_per_key[runner]),
+        detected_edges=detected,
+        alignment_offset=int(shifts[best[winner]]),
         tie=bool(best_per_key[winner] == best_per_key[runner]),
     )

@@ -23,7 +23,6 @@ from emanakey import (
     edges_analytic,
     get_preset,
     inject_glitch,
-    match,
     min_pairwise_distance,
     radiate,
     simulate_probed_waveform,
@@ -43,7 +42,7 @@ from emanakey.edges import EdgeSeries
 from emanakey.errors import NoSignalError
 from emanakey.sweep import bench_detect, run_preset_sweep
 
-from oracle import crc5_oracle, crc16_oracle
+from oracle import crc5_oracle, crc16_oracle, match
 
 FS = 250e6
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +244,13 @@ def test_glitch_count_validation(identity_preset):
     trace = apply_channel(make_clean(), identity_preset, FS)
     with pytest.raises(ValueError):
         inject_glitch(trace, -1)
+    # One given time per burst: too few or too many is an error, not a
+    # silently short or truncated burst list.
+    for times in ([1e-6], [1e-6, 2e-6, 3e-6]):
+        with pytest.raises(ValueError, match="times"):
+            inject_glitch(trace, 2, times=np.array(times))
+    with pytest.raises(ValueError, match="times"):
+        inject_glitch(trace, 0, times=np.array([1e-6]))
 
 
 def _builtin_interferers():
@@ -541,6 +549,23 @@ def test_preset_validation():
     for glitch_amp in ((4.0, 2.5), (-1.0, 2.0)):
         with pytest.raises(ValueError):
             ChannelPreset(name="bad", glitch_rate=50.0, glitch_amp=glitch_amp)
+    # Every number is a finite int or float (no bool), the seed a
+    # non-negative int and the name a string.
+    for field, value in (
+        ("gain_db", "loud"), ("gain_db", True), ("noise_density", None),
+        ("seed", "abc"), ("seed", 1.5), ("seed", True), ("name", 3),
+        ("glitch_amp", (2.5, "4")), ("interferers", (Interferer(95e6, 0.0, "x"),)),
+    ):
+        with pytest.raises((TypeError, ValueError)):
+            ChannelPreset(**{"name": "bad", field: value})
+    for field, value in (
+        ("gain_db", math.nan), ("gain_db", math.inf), ("glitch_rate", math.inf),
+        ("glitch_rate", math.nan), ("shielding_db", math.nan), ("seed", -1),
+        ("glitch_amp", (2.5, math.inf)),
+        ("interferers", (Interferer(math.nan, 0.0, 1e-12),)),
+    ):
+        with pytest.raises(ValueError):
+            ChannelPreset(**{"name": "bad", field: value})
 
 
 def test_unknown_preset_lists_available():

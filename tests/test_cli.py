@@ -298,6 +298,14 @@ def test_sweep_bad_grid_is_a_usage_error(tmp_path, capsys, flag, spec):
         ("preset", '{"name": "x", "interferers": [[95e6, 0, -1e-12]]}'),
         ("preset", '{"name": "x", "interferers": [[95e6, -1e6, 1e-12]]}'),
         ("preset", '{"name": "x", "glitch_rate": 50, "glitch_amp": [4.0, 2.5]}'),
+        ("preset", '{"name": "x", "gain_db": "loud"}'),
+        ("preset", '{"name": "x", "gain_db": NaN}'),
+        ("preset", '{"name": "x", "gain_db": 1e400}'),
+        ("preset", '{"name": "x", "glitch_rate": Infinity}'),
+        ("preset", '{"name": "x", "glitch_rate": NaN}'),
+        ("preset", '{"name": "x", "seed": "abc"}'),
+        ("preset", '{"name": "x", "seed": -1}'),
+        ("preset", '{"name": 7}'),
     ],
     ids=[
         "config-json", "config-list", "config-unknown-key", "config-rejected",
@@ -307,6 +315,9 @@ def test_sweep_bad_grid_is_a_usage_error(tmp_path, capsys, flag, spec):
         "preset-list", "preset-unknown-field", "preset-rejected",
         "preset-negative-noise", "preset-negative-power",
         "preset-negative-bandwidth", "preset-inverted-glitch-amp",
+        "preset-gain-string", "preset-gain-nan", "preset-gain-overflow",
+        "preset-glitch-rate-inf", "preset-glitch-rate-nan", "preset-seed-string",
+        "preset-seed-negative", "preset-name-number",
     ],
 )
 def test_malformed_config_or_preset_is_a_data_error(tmp_path, capsys, kind, text):
@@ -332,8 +343,11 @@ def test_malformed_config_or_preset_is_a_data_error(tmp_path, capsys, kind, text
         ["sweep", "--preset-grid", "identity", "--repeats", "-1"],
         ["bench", "--iters", "0"],
         ["bench", "--iters", "-5"],
+        ["synth", "--keys", "a", "--preset", "identity", "--seed", "-1"],
+        ["sweep", "--glitch-grid", "0", "--seed", "-1"],
     ],
-    ids=["synth-0", "synth-neg", "sweep-0", "sweep-neg", "bench-0", "bench-neg"],
+    ids=["synth-0", "synth-neg", "sweep-0", "sweep-neg", "bench-0", "bench-neg",
+         "synth-seed-neg", "sweep-seed-neg"],
 )
 def test_count_below_one_is_a_usage_error(tmp_path, capsys, argv):
     out = ["--out-dir", str(tmp_path / "t")] if argv[0] == "synth" else []

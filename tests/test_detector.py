@@ -18,7 +18,6 @@ from emanakey import (
     get_preset,
     inject_glitch,
     key_by_label,
-    match,
     normalize,
     radiate,
     threshold_and_peaks,
@@ -38,7 +37,13 @@ from emanakey.detector import (
 from emanakey.edges import EdgeSeries
 from emanakey.keys import KEYS
 
-from oracle import agreement_score_oracle, amplitude_envelope, bandpass, detect_oracle
+from oracle import (
+    agreement_score_oracle,
+    amplitude_envelope,
+    bandpass,
+    detect_oracle,
+    match,
+)
 
 FS = 250e6
 CFG = DEFAULT_CONFIG
@@ -584,8 +589,7 @@ def test_detect_batch_row_with_fewer_peaks_than_anchors(refs, offset_search):
         entries={
             key: EdgeSeries(slots=np.r_[0, 0, 0, s.slots], bit_width=s.bit_width)
             for key, s in refs.entries.items()
-        },
-        bit_rate=refs.bit_rate,
+        }
     )
     samples = np.zeros(3000)
     burst = _glitch_burst(1.0, FS)
@@ -731,7 +735,7 @@ def test_detect_batch_follows_the_references_bit_rate():
         noisy.append(apply_channel(
             clean, get_preset("open-space-3m"), FS, key, stream=(23, 0)
         ))
-    slow = ReferenceSet(entries=entries, bit_rate=1.5e6)
+    slow = ReferenceSet(entries=entries)
     results = detect_batch(identity, slow)
     assert [r.key for r in results] == list(KEYS)
     assert all(r.score == 1.0 for r in results)

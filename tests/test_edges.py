@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from emanakey import (
     simulate_probed_waveform,
     wired_pipeline_edges,
 )
-from emanakey.edges import EdgeSeries, edge_signs, pairwise_distance
+from emanakey.edges import EdgeSeries, ReferenceSet, edge_signs, pairwise_distance
 from emanakey.frames import PacketKind
 
 from oracle import edge_signs_oracle
@@ -105,6 +107,20 @@ def test_reference_set_build(refs):
     assert len(refs) == 70
     widths = {refs[k].bit_width for k in refs.keys_in_order()}
     assert len(widths) == 1
+
+
+def test_reference_set_time_base_is_its_entries_width(refs):
+    # One source for the bit time: the rate is one over the width every
+    # entry shares, and cannot be given beside it.
+    assert refs.bit_width == 1 / 12e6
+    assert refs.bit_rate == 12e6
+    with pytest.raises(TypeError):
+        ReferenceSet(entries=refs.entries, bit_rate=1.5e6)
+    mixed = dict(refs.entries)
+    key = key_by_label("a")
+    mixed[key] = replace(mixed[key], bit_width=1 / 1.5e6)
+    with pytest.raises(ValueError, match="one bit width"):
+        ReferenceSet(entries=mixed)
 
 
 def test_reference_methods_agree(refs):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,11 @@ from emanakey import (
     EmanationTrace,
     FileFormatError,
     FileVersionError,
+    KEYS,
     TruncatedFileError,
+    build_keystroke_transaction,
+    build_reference_set,
+    edges_analytic,
     get_preset,
     import_csv,
     key_by_label,
@@ -218,9 +224,35 @@ def test_reference_roundtrip(tmp_path, refs):
     write_reference_set(refs, path)
     back = read_reference_set(path)
     assert len(back) == 70
-    assert back.bit_rate == refs.bit_rate
+    assert back.bit_rate == refs.bit_rate == 12e6
+    assert back.bit_width == refs.bit_width
     for key in refs.keys_in_order():
         assert np.array_equal(back[key].slots, refs[key].slots)
+
+
+def test_reference_roundtrip_keeps_a_low_speed_time_base(tmp_path):
+    # A read-back set takes its bit time from the file's rate alone.
+    from emanakey.edges import ReferenceSet
+
+    slow = ReferenceSet(entries={
+        key: edges_analytic(replace(build_keystroke_transaction(key), bit_rate=1.5e6))
+        for key in KEYS[:3]
+    })
+    path = tmp_path / "slow.emrf"
+    write_reference_set(slow, path)
+    back = read_reference_set(path)
+    assert back.bit_rate == 1.5e6
+    assert back.bit_width == slow.bit_width == 1 / 1.5e6
+    assert back.entries == slow.entries
+
+
+@pytest.mark.parametrize("method", ["analytic", "pipeline"])
+def test_reference_file_bytes_are_pinned(tmp_path, method):
+    path = tmp_path / "refs.emrf"
+    write_reference_set(build_reference_set(method), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "756694e1f4ee3c90fff0bf2e4d83b274152be36f5085e5c2248ae511631691be"
+    )
 
 
 def test_reference_file_layout(tmp_path, refs):
