@@ -47,6 +47,7 @@ from .edges import (
     wired_pipeline_edges,
 )
 from .errors import (
+    ConfigError,
     CsvParseError,
     DegenerateTraceError,
     EmanakeyError,

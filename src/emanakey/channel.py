@@ -78,6 +78,16 @@ _PRESET_NUMBERS = (
     "gain_db", "noise_density", "glitch_rate", "body_coupling_gain", "shielding_db",
 )
 
+# Upper bounds on a preset's magnitudes: far past any physical channel, and
+# low enough that every synthesized sample stays finite in float32.
+PRESET_LIMITS = {
+    "gain_db": 200.0,  # dB, a gain of 1e10 on the clean waveform
+    "noise_density": 1.0,  # V/sqrt(Hz)
+    "glitch_rate": 1000.0,  # mean bursts per trace
+    "glitch_amp": 1000.0,  # burst peak over the signal peak
+    "interferer power": 1e6,  # V^2
+}
+
 
 @dataclass(frozen=True)
 class ChannelPreset:
@@ -122,6 +132,15 @@ class ChannelPreset:
         low, high = self.glitch_amp
         if not 0 <= low <= high:
             raise ValueError("glitch_amp must be (low, high) with 0 <= low <= high")
+        largest = {
+            "gain_db": self.gain_db, "noise_density": self.noise_density,
+            "glitch_rate": self.glitch_rate, "glitch_amp": high,
+            "interferer power": max((i.power for i in self.interferers), default=0.0),
+        }
+        for name, value in largest.items():
+            limit = PRESET_LIMITS[name]
+            if value > limit:
+                raise ValueError(f"{name} must be <= {limit:g}, got {value:g}")
 
     @property
     def signal_scale(self) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .bits import int_from_bits
-from .channel import get_preset, synth_dataset
+from .channel import PRESET_LIMITS, get_preset, synth_dataset
 from .detector import DEFAULT_CONFIG, DetectorConfig, detect_batch
 from .edges import build_reference_set, edges_analytic, min_pairwise_distance
 from .errors import EmanakeyError, NoSignalError
@@ -96,15 +96,16 @@ def _sample_rate(spec: str) -> float:
 
 
 def _noise_grid(spec: str) -> list[float]:
-    """'lo:hi:n': n geometric steps from lo to hi, every density finite and > 0."""
+    """'lo:hi:n': n geometric steps from lo to hi, every density in (0, limit]."""
+    limit = PRESET_LIMITS["noise_density"]
     try:
         lo, hi, n = spec.split(":")
         densities = list(np.geomspace(float(lo), float(hi), int(n)))
-        if not densities or not all(0 < d < np.inf for d in densities):
+        if not densities or not all(0 < d <= limit for d in densities):
             raise ValueError(spec)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected lo:hi:n with positive lo and hi and n >= 1, got {spec!r}"
+            f"expected lo:hi:n with lo and hi in (0, {limit:g}] and n >= 1, got {spec!r}"
         ) from None
     return densities
 

@@ -17,7 +17,11 @@ to trace scaling.
 
 detect_batch is the one implementation: it runs same-length traces as
 rows of a matrix, and detect is detect_batch on one trace. Every row gets
-the bits a lone trace gets.
+the bits a lone trace gets. Each stage runs once per chunk of rows: one
+FFT pair for the envelope, one find_peaks pass over all rows (NaN between
+rows keeps peaks apart), and one matmul that scores every anchor at every
+offset, since an anchor's offsets are one slot vector shifted by whole
+slots.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from scipy import signal as sp_signal
 from .channel import EmanationTrace, _percentile_rows
 from .edges import EdgeSeries, ReferenceSet, _read_only
 from .errors import (
+    ConfigError,
     DegenerateTraceError,
     FileFormatError,
     NoSignalError,
@@ -70,7 +75,7 @@ class DetectorConfig:
     skip_fraction: float = 0.01  # top fraction ignored when scaling
     min_peak_separation: float = 2.0 / 3.0  # fraction of a bit width
     proximity_window: float = 1.0 / 3.0  # fraction of a bit width
-    offset_search: int = 2  # +/- slots around each anchor
+    offset_search: int = 2  # +/- slots around each anchor; below the slot width
     min_peaks: int = 10  # fewer detected peaks -> no-signal error
 
     def __post_init__(self):
@@ -185,16 +190,17 @@ class _Workspace:
 
     A 32-row chunk needs about 4 MB of temporaries. Blocks that large go
     back to the OS when freed, so fresh ones would be faulted in again on
-    every chunk. Each buffer is nfft wide, so any trace length that maps
-    to this FFT size fits. A thread keeps a workspace between calls only
-    if each buffer has at most _KEPT_CELLS cells.
+    every chunk. Each buffer holds rows x nfft cells, so any trace length
+    that maps to this FFT size fits; the envelope's rows are n + 1 wide. A
+    thread keeps a workspace between calls only if each buffer has at most
+    _KEPT_CELLS cells.
     """
 
     def __init__(self, rows: int, nfft: int):
         self.nfft = nfft
         self.padded = np.empty((rows, nfft))  # input rows, zero-padded
         self.spectrum = np.empty((rows, nfft), dtype=complex)
-        self.envelope = np.empty((rows, nfft))
+        self.envelope = np.empty(rows * nfft)
 
 
 _local = threading.local()
@@ -226,10 +232,11 @@ def _band_envelope(
     raw carrier's |x| maxima sit on a half-period comb that noise can hop.
     Numerically equivalent (away from the trace ends) to the reference
     amplitude_envelope(bandpass(x)) in tests/oracle.py; each row gets the
-    bits a chunk of one row gets. Returns the (rows, n) envelope and a
-    scratch array of its shape, both views into a workspace that this
-    thread's next call may overwrite; the scratch is the padded input,
-    dead once transformed.
+    bits a chunk of one row gets. Returns a (rows, n + 1) block that holds
+    the envelope in its first n columns and NaN in the last, for
+    _peak_rows, and a (rows, n) scratch array, both views into a workspace
+    that this thread's next call may overwrite; the scratch is the padded
+    input, dead once transformed.
     """
     if sample_rate <= 2 * cfg.band_high:
         raise SampleRateError(
@@ -251,8 +258,10 @@ def _band_envelope(
     spectrum[:, nfft // 2 + 1 :] = 0.0
     np.fft.ifft(spectrum, out=spectrum)
     start = (FILTER_TAPS - 1) // 2  # 'same' alignment, group delay removed
-    envelope = np.abs(spectrum[:, start : start + n], out=ws.envelope[:b, :n])
-    return envelope, x[:, :n]
+    block = ws.envelope[: b * (n + 1)].reshape(b, n + 1)
+    np.abs(spectrum[:, start : start + n], out=block[:, :n])
+    block[:, n] = np.nan
+    return block, x[:, :n]
 
 
 def _normalize(
@@ -271,7 +280,8 @@ def _normalize(
     )
     dead = s_max <= 0.0
     x *= np.divide(AMPLITUDE, s_max, out=np.zeros_like(s_max), where=~dead)
-    np.clip(x, -AMPLITUDE, AMPLITUDE, out=x)
+    np.minimum(x, AMPLITUDE, out=x)  # np.clip's bits, without its call overhead
+    np.maximum(x, -AMPLITUDE, out=x)
     return dead[..., 0]
 
 
@@ -290,18 +300,40 @@ def normalize(
 
 
 def _peak_rows(
-    normalized: np.ndarray, sample_rate: float, bit_width: float, cfg: DetectorConfig
-) -> list[np.ndarray]:
-    """Peak times (s) of each row of |x| floored below A/2; rows may be empty.
+    block: np.ndarray, n: int, sample_rate: float, bit_width: float, cfg: DetectorConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Peak times (s) of each row of x >= 0 floored below A/2, and their counts.
 
-    Takes |x| and floors it in place. Flooring leaves every sample at 0 or
-    at least the floor, so each local maximum already clears it and
-    find_peaks needs no height test.
+    ``block`` holds x in its first n columns and NaN in the rest; x is
+    floored in place. Flooring leaves every sample at 0 or at least the
+    floor, so each local maximum already clears it and find_peaks needs
+    no height test. One find_peaks pass runs over the whole block
+    flattened: NaN compares false, so no peak or plateau runs from one row
+    into the next, and each row gets the maxima a pass over it alone finds.
+    The min-separation rule keeps every maximum of a row where no two lie
+    closer than min_sep, so it runs only on the rows where two do.
+
+    Times are (rows, peaks), NaN-padded, with at least ANCHOR_CANDIDATES
+    columns; counts are (rows,).
     """
-    y = np.abs(normalized, out=normalized)
+    y = block[:, :n]
     y *= y >= FLOOR
+    maxima = sp_signal.find_peaks(block.reshape(-1))[0]
+    row_of, col = np.divmod(maxima, block.shape[1])
+    counts = np.bincount(row_of, minlength=block.shape[0])
+    times = np.full((block.shape[0], max(ANCHOR_CANDIDATES, counts.max())), np.nan)
+    rank = np.arange(maxima.size) - np.searchsorted(row_of, row_of)
+    times[row_of, rank] = col / sample_rate
     min_sep = max(1, int(round(cfg.min_peak_separation * bit_width * sample_rate)))
-    return [sp_signal.find_peaks(row, distance=min_sep)[0] / sample_rate for row in y]
+    close = maxima[1:] - maxima[:-1] < min_sep
+    if np.count_nonzero(close):
+        close &= row_of[1:] == row_of[:-1]
+        for row in np.unique(row_of[1:][close]):
+            kept = sp_signal.find_peaks(y[row], distance=min_sep)[0]
+            times[row] = np.nan
+            times[row, : kept.size] = kept / sample_rate
+            counts[row] = kept.size
+    return times, counts
 
 
 def threshold_and_peaks(
@@ -314,11 +346,13 @@ def threshold_and_peaks(
     No two peaks are closer than min_peak_separation of a full-speed bit
     width; the higher peak wins a conflict window.
     """
-    y = np.array(normalized, dtype=np.float64)[None, :]
-    (times,) = _peak_rows(y, sample_rate, 1.0 / FULL_SPEED_BIT_RATE, cfg)
-    if times.size == 0:
+    n = np.size(normalized)
+    block = np.full((1, n + 1), np.nan)
+    np.abs(normalized, out=block[0, :n])
+    times, (count,) = _peak_rows(block, n, sample_rate, 1.0 / FULL_SPEED_BIT_RATE, cfg)
+    if count == 0:
         raise NoSignalError("no peaks above the amplitude floor")
-    return times
+    return times[0, :count]
 
 
 def _grid_slots(
@@ -328,25 +362,41 @@ def _grid_slots(
     bit_width: float,
     n_slots: int,
     proximity: float,
-) -> np.ndarray:
-    """Slot vectors of every row's (anchor, anchor_slot) grids: (rows, grids, n_slots).
+) -> tuple[np.ndarray, bool]:
+    """Slot vectors of every row's (anchor, anchor_slot) grids; are any unsure?
 
-    ``peak_times`` is (rows, peaks) and ``anchors`` (rows, grids); NaN pads
-    ragged rows and fills no slot. Grid j puts slot ``anchor_slots[j]`` at
-    its anchor.
+    ``peak_times`` is (rows, peaks), ``anchors`` (rows, grids) and
+    ``anchor_slots`` (grids,) or (1,); NaN pads ragged rows and fills no
+    slot. Grid j puts slot ``anchor_slots[j]`` at its anchor. Returns the
+    slots as (rows, grids, n_slots) float32 0/1, and whether any position
+    is unsure.
+
+    A peak at position p (in slots) fills slot rint(p) if p lies within
+    ``proximity`` of it, so adding k to an anchor slot shifts the grid by k
+    slots, unless p + k rounds differently from p. A position is unsure
+    when it lies within rounding error of the proximity edge (or of a half
+    slot, if the window reaches it), where such a shift can move a peak
+    across the edge or by a slot. The margin covers |k| < n_slots; a
+    position farther out than that is outside every such grid.
     """
     pos = peak_times[:, None, :] - anchors[:, :, None]
     pos /= bit_width
     pos += anchor_slots[:, None]
     idx = np.rint(pos)
     pos -= idx
-    ok = np.abs(pos, out=pos) <= proximity
-    ok &= idx >= 0
-    ok &= idx < n_slots
+    frac = np.abs(pos, out=pos)
+    ok = frac <= proximity
+    np.greater_equal(idx, 0, out=ok, where=ok)
+    np.less(idx, n_slots, out=ok, where=ok)
+    # Only the window's edge can matter: a position near a half slot stays
+    # outside the window either way, unless the window reaches 0.5.
+    frac -= min(proximity, 0.5)
+    edge = np.abs(frac, out=frac)
+    unsure = np.count_nonzero(edge <= n_slots * 2.0**-47) > 0  # NaN compares false
     idx += _grid_base(anchors.shape, n_slots)
-    slots = np.zeros(anchors.shape + (n_slots,), dtype=bool)
-    slots.reshape(-1)[idx[ok].astype(np.intp)] = True
-    return slots
+    slots = np.zeros(anchors.shape + (n_slots,), dtype=np.float32)
+    slots.reshape(-1)[idx[ok].astype(np.intp)] = 1.0
+    return slots, unsure
 
 
 @lru_cache(maxsize=64)
@@ -369,61 +419,86 @@ def _anchor_grids(offset_search: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(peaks), _read_only(np.tile(offsets, ANCHOR_CANDIDATES))
 
 
-def _scores(slot_rows: np.ndarray, refs: ReferenceSet) -> np.ndarray:
-    """Agreement of each padded slot row with every reference: (rows, keys).
+def _agreement(mismatches: np.ndarray, refs: ReferenceSet) -> np.ndarray:
+    """Scores (..., keys) of slot rows g from g @ refs.mismatch_weights.
 
-    Mismatches are counted over each reference's own slot range, as
-    |g in range| + |r| - 2 g.r in one matmul, and normalized by reference
-    length so stuffing-length differences do not bias the match.
+    Adding each reference's ones counts the slots where g and it disagree
+    within its own length, |g in range| + |r| - 2 g.r; the count is
+    normalized by reference length so stuffing-length differences do not
+    bias the match.
     """
-    rows = np.asarray(slot_rows, dtype=np.float64)
-    mismatches = rows @ refs.mismatch_weights + refs.edge_counts
-    return 1.0 - mismatches / refs.lengths
+    return 1.0 - (mismatches + refs.edge_counts) / refs.lengths
 
 
 def _match_peaks(
-    peak_lists: list[np.ndarray], refs: ReferenceSet, bit: float, cfg: DetectorConfig
+    peaks: np.ndarray, refs: ReferenceSet, bit: float, cfg: DetectorConfig
 ) -> list[DetectionResult]:
-    """Best (anchor, offset) grid per key for each row of peak times.
+    """Best (anchor, offset) grid per key for each row of NaN-padded peak times.
 
     The first ANCHOR_CANDIDATES peaks of a row are tried as grid anchors,
-    each at every slot within +/-offset_search of slot 0. Ties resolve to
-    the lowest key index and are flagged.
+    each at every slot within +/-offset_search of slot 0. The grids of one
+    anchor are one wide slot vector, over slots -offset_search to
+    width + offset_search - 1, shifted by whole slots: each anchor places
+    the row's peaks once, and one matmul with the references' shift table
+    scores every offset. A chunk with an unsure position (see _grid_slots)
+    is scored grid by grid instead, with the same bits. Ties resolve to the
+    lowest key index and are flagged.
     """
     keys = refs.keys_in_order()
     lengths = refs.lengths
     width = refs.slot_matrix.shape[1]
-    anchor_peaks, anchor_slots = _anchor_grids(cfg.offset_search)
+    search = cfg.offset_search
+    n_offsets = 2 * search + 1
+    rows = np.arange(len(peaks))
+    anchors = peaks[:, :ANCHOR_CANDIDATES]
 
-    # NaN pads ragged rows, and rows with fewer peaks than anchor candidates.
-    n_peaks = max(ANCHOR_CANDIDATES, max(p.size for p in peak_lists))
-    peaks = np.full((len(peak_lists), n_peaks), np.nan)
-    for row, times in enumerate(peak_lists):
-        peaks[row, : times.size] = times
-    anchors = peaks[:, anchor_peaks]
-    grids = _grid_slots(peaks, anchors, anchor_slots, bit, width, cfg.proximity_window)
-    scores = _scores(grids.reshape(-1, width), refs).reshape(*anchors.shape, len(keys))
-    scores[np.isnan(anchors)] = -np.inf  # a grid anchored at a missing peak
+    wide, unsure = _grid_slots(
+        peaks, anchors, np.array([search]), bit, width + 2 * search, cfg.proximity_window
+    )
+    if unsure:
+        anchor_peaks, anchor_slots = _anchor_grids(search)
+        grids, _ = _grid_slots(
+            peaks, anchors[:, anchor_peaks], anchor_slots, bit, width, cfg.proximity_window
+        )
+        mismatches = grids.reshape(-1, width) @ refs.mismatch_weights
+    else:
+        mismatches = wide.reshape(-1, width + 2 * search) @ refs.shift_table(search)
+    mismatches = mismatches.reshape(len(peaks), -1, len(keys))
+    if cfg.min_peaks < ANCHOR_CANDIDATES:
+        # A row may lack an anchor; a grid anchored at a missing peak never wins.
+        mismatches.reshape(len(peaks), ANCHOR_CANDIDATES, n_offsets, -1)[
+            np.isnan(anchors)
+        ] = np.inf
 
-    best_grid = np.argmax(scores, axis=1)  # (rows, keys): first maximal grid
-    best = scores.max(axis=1)
+    # Within one key the score falls as mismatches rise, so its first
+    # maximal grid is its first grid with the fewest mismatches.
+    best_grid = np.argmin(mismatches, axis=1)  # (rows, keys)
+    best = _agreement(mismatches.min(axis=1), refs)
+    winner = np.argmax(best, axis=1)  # ties -> lowest index
+    score = best[rows, winner]
+    best[rows, winner] = -np.inf
+    runner = np.argmax(best, axis=1)
     results = []
-    for row in range(len(peak_lists)):
-        order = np.argsort(-best[row], kind="stable")  # stable: ties -> lowest index
-        winner, runner = int(order[0]), int(order[1])
-        g = int(best_grid[row, winner])
+    for row, (w, s, r, rs, g) in enumerate(zip(
+        winner.tolist(), score.tolist(), runner.tolist(),
+        best[rows, runner].tolist(), best_grid[rows, winner].tolist(),
+    )):
+        a, o = divmod(g, n_offsets)
+        offset = o - search
+        if unsure:
+            slots = grids[row, g, : lengths[w]]
+        else:
+            slots = wide[row, a, search - offset : search - offset + lengths[w]]
         results.append(DetectionResult(
-            key=keys[winner],
-            score=float(best[row, winner]),
-            runner_up=keys[runner],
-            runner_up_score=float(best[row, runner]),
+            key=keys[w],
+            score=s,
+            runner_up=keys[r],
+            runner_up_score=rs,
             detected_edges=EdgeSeries(
-                slots=grids[row, g, : lengths[winner]],
-                bit_width=bit,
-                origin=float(anchors[row, g]) - int(anchor_slots[g]) * bit,
+                slots=slots, bit_width=bit, origin=float(anchors[row, a]) - offset * bit
             ),
-            alignment_offset=int(anchor_slots[g]),
-            tie=bool(best[row, winner] == best[row, runner]),
+            alignment_offset=offset,
+            tie=s == rs,
         ))
     return results
 
@@ -441,30 +516,31 @@ def _detect_rows(
     bit width from the references.
     """
     bit = refs.bit_width
-    envelope, scratch = _band_envelope(rows, sample_rate, cfg)
-    dead = _normalize(envelope, cfg, scratch)
-    empty = envelope.shape[1] == 0
+    n = len(rows[0])
+    block, scratch = _band_envelope(rows, sample_rate, cfg)
+    dead = _normalize(block[:, :n], cfg, scratch)
+    peaks, counts = _peak_rows(block, n, sample_rate, bit, cfg)
     outcomes: list[DetectionResult | NoSignalError | None] = []
     live: list[int] = []
-    peak_lists: list[np.ndarray] = []
-    for row, times in enumerate(_peak_rows(envelope, sample_rate, bit, cfg)):
+    for row, count in enumerate(counts.tolist()):
         if dead[row]:
             outcomes.append(NoSignalError(
-                f"{'empty' if empty else 'all-zero'} trace cannot be normalized"
+                f"{'empty' if n == 0 else 'all-zero'} trace cannot be normalized"
             ))
-        elif times.size == 0:
+        elif count == 0:
             outcomes.append(NoSignalError("no peaks above the amplitude floor"))
-        elif times.size < cfg.min_peaks:
+        elif count < cfg.min_peaks:
             outcomes.append(NoSignalError(
-                f"only {times.size} peaks detected (< {cfg.min_peaks}); "
+                f"only {count} peaks detected (< {cfg.min_peaks}); "
                 "trace carries no usable signal"
             ))
         else:
             outcomes.append(None)
             live.append(row)
-            peak_lists.append(times)
     if live:
-        for row, result in zip(live, _match_peaks(peak_lists, refs, bit, cfg)):
+        if len(live) < len(rows):
+            peaks = peaks[live]
+        for row, result in zip(live, _match_peaks(peaks, refs, bit, cfg)):
             outcomes[row] = result
     return outcomes
 
@@ -492,12 +568,19 @@ def detect_batch(
 
     Traces are grouped by (length, sample rate), since both fix the FFT
     size, and each group is run in chunks of _CHUNK_ROWS rows: one
-    rfft/ifft pair and one row-wise partition for the scale per chunk,
-    find_peaks per row, and every row's anchor grids scored against every
-    reference in one matmul. A lone trace takes the same path as a chunk
-    of one row. A trace with no usable signal gets its NoSignalError in
-    its own slot and does not fail the batch.
+    rfft/ifft pair, one row-wise partition for the scale, one find_peaks
+    pass and one matmul scoring every row's anchor grids against every
+    reference per chunk. A lone trace takes the same path as a chunk of
+    one row. A trace with no usable signal gets its NoSignalError in its
+    own slot and does not fail the batch. Raises ConfigError when
+    cfg.offset_search is not below the references' slot width.
     """
+    width = refs.slot_matrix.shape[1]
+    if cfg.offset_search >= width:
+        raise ConfigError(
+            "offset_search (offset_search_slots in a config file) is "
+            f"{cfg.offset_search}; it must be below the references' slot width, {width}"
+        )
     outcomes: list[DetectionResult | NoSignalError | None] = [None] * len(traces)
     groups: dict[tuple[int, float], list[int]] = {}
     for i, trace in enumerate(traces):

@@ -267,6 +267,30 @@ class ReferenceSet:
         in_range = np.arange(width)[None, :] < self.lengths[:, None]
         return _read_only((in_range - 2.0 * self.slot_matrix).T.copy())
 
+    @cached_property
+    def _shift_tables(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def shift_table(self, search: int) -> np.ndarray:
+        """mismatch_weights at every shift within +/-search, built once per search.
+
+        A (width + 2*search, (2*search + 1) * keys) float32 table whose
+        column block o scores a shift of s = o - search slots: for a 0/1
+        vector v of width + 2*search slots, ``v @ table[:, block o]`` equals
+        ``g @ mismatch_weights`` for the grid g[j] = v[j - s + search].
+        Entries are 0 and +/-1, so the float32 sums are exact integers.
+        """
+        table = self._shift_tables.get(search)
+        if table is None:
+            width, keys = self.mismatch_weights.shape
+            shifts = 2 * search + 1
+            table = np.zeros((width + 2 * search, shifts, keys), dtype=np.float32)
+            for o in range(shifts):
+                table[2 * search - o : 2 * search - o + width, o] = self.mismatch_weights
+            table = _read_only(table.reshape(width + 2 * search, shifts * keys))
+            self._shift_tables[search] = table
+        return table
+
 
 def build_reference_set(method: str = "analytic") -> ReferenceSet:
     """Generate the reference series for all 70 keys, deterministically.

@@ -33,6 +33,10 @@ class NoSignalError(EmanakeyError):
     """Too few peaks to attempt classification; not a low-confidence guess."""
 
 
+class ConfigError(EmanakeyError):
+    """Detector setting out of range for the references it runs against."""
+
+
 class UnknownPresetError(EmanakeyError):
     """Channel preset name not found."""
 

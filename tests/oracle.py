@@ -22,7 +22,8 @@ bandpass-envelope, one percentile, one find_peaks, and every anchor grid
 scored against every reference through a 3-D elementwise `!=` tensor.
 
 `match` scores a given edge series, shifted by up to +/-offset_search
-slots, against every reference through the production `_scores` kernel:
+slots, against every reference through the production scoring (the
+references' mismatch_weights and the detector's `_agreement`):
 the slot-flip tolerance check (acceptance criterion 8) corrupts reference
 series directly, with no trace to detect from.
 """
@@ -52,8 +53,8 @@ from emanakey.detector import (
     DEFAULT_CONFIG,
     FLOOR,
     DetectionResult,
+    _agreement,
     _bandpass_taps,
-    _scores,
 )
 from emanakey.edges import EdgeSeries, ReferenceSet
 from emanakey.errors import NoSignalError, SampleRateError
@@ -336,7 +337,8 @@ def match(detected: EdgeSeries, refs: ReferenceSet, cfg=DEFAULT_CONFIG) -> Detec
     base[search : search + n] = detected.slots[:n]
     shifts = np.arange(-search, search + 1)
     # Window j of the padded series is the series shifted by shifts[j].
-    scores = _scores(sliding_window_view(base, width), refs)
+    windows = sliding_window_view(base, width).astype(np.float64)
+    scores = _agreement(windows @ refs.mismatch_weights, refs)
     best = np.argmax(scores, axis=0)  # first maximal shift per key
     best_per_key = scores[best, np.arange(scores.shape[1])]
     keys = refs.keys_in_order()

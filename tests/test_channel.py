@@ -568,6 +568,33 @@ def test_preset_validation():
             ChannelPreset(**{"name": "bad", field: value})
 
 
+def test_preset_at_every_limit_synthesizes_finite_samples():
+    # Each magnitude at its limit, together: every sample stays finite in
+    # float32, and one step past any limit is refused with its name.
+    limits = channel.PRESET_LIMITS
+    power = limits["interferer power"]
+    preset = ChannelPreset(
+        name="loud", gain_db=limits["gain_db"], noise_density=limits["noise_density"],
+        glitch_rate=limits["glitch_rate"],
+        glitch_amp=(limits["glitch_amp"], limits["glitch_amp"]), body_coupling_gain=4.0,
+        interferers=(Interferer(14e6, 0.0, power), Interferer(14e6, 4e6, power)),
+    )
+    for rate in (40e6, 250e6):
+        (trace,) = synth_dataset([KEYS[0]], preset, repeats=1, master_seed=1, sample_rate=rate)
+        assert np.isfinite(trace.samples).all()
+    past = {
+        "gain_db": {"gain_db": 2 * limits["gain_db"]},
+        "noise_density": {"noise_density": 2 * limits["noise_density"]},
+        "glitch_rate": {"glitch_rate": 2 * limits["glitch_rate"]},
+        "glitch_amp": {"glitch_amp": (2.5, 2 * limits["glitch_amp"])},
+        "interferer power": {"interferers": (Interferer(14e6, 0.0, 2 * power),)},
+    }
+    assert past.keys() == limits.keys()
+    for name, fields in past.items():
+        with pytest.raises(ValueError, match=f"{name} must be <="):
+            ChannelPreset(name="bad", **fields)
+
+
 def test_unknown_preset_lists_available():
     with pytest.raises(UnknownPresetError) as err:
         get_preset("open-space-99m")

@@ -266,6 +266,7 @@ def test_detect_dir_equals_per_file_detect(tmp_path, capsys, monkeypatch):
         ("--noise-grid", "1e-9:2e-9"),
         ("--noise-grid", "1e-9:2e-9:0"),
         ("--noise-grid", "0:2e-9:3"),
+        ("--noise-grid", "1e-9:2:3"),
     ],
 )
 def test_sweep_bad_grid_is_a_usage_error(tmp_path, capsys, flag, spec):
@@ -332,6 +333,45 @@ def test_malformed_config_or_preset_is_a_data_error(tmp_path, capsys, kind, text
     assert rc == 3
     assert stderr.startswith("error: ") and str(path) in stderr
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ("gain_db", '{"name": "x", "gain_db": 1e300}'),
+        ("glitch_rate", '{"name": "x", "glitch_rate": 1e300}'),
+        ("noise_density", '{"name": "x", "noise_density": 1e300}'),
+        ("interferer power", '{"name": "x", "interferers": [[95e6, 0, 1e300]]}'),
+        ("glitch_amp", '{"name": "x", "glitch_rate": 5, "glitch_amp": [2.5, 1e300]}'),
+    ],
+    ids=["gain", "glitch-rate", "noise-density", "interferer-power", "glitch-amp"],
+)
+def test_preset_too_large_to_synthesize_is_a_data_error(tmp_path, capsys, field, text):
+    path = tmp_path / "preset.json"
+    path.write_text(text)
+    argv = ["synth", "--keys", "a", "--preset", str(path), "--out-dir", str(tmp_path / "out")]
+    rc, _, stderr = run(argv, capsys)
+    assert rc == 3
+    assert stderr.startswith("error: ") and str(path) in stderr
+    assert f"{field} must be <=" in stderr
+
+
+@pytest.mark.parametrize("search, code", [(0, 0), (121, 3), (100_000, 3)])
+def test_detect_offset_search_must_stay_below_the_slot_width(tmp_path, capsys, search, code):
+    traces = tmp_path / "t"
+    run(["synth", "--keys", "a", "--preset", "identity", "--repeats", "1",
+         "--out-dir", str(traces)], capsys)
+    config = tmp_path / "detector.json"
+    config.write_text(json.dumps({"offset_search_slots": search}))
+    rc, stdout, stderr = run(
+        ["detect", "--trace-dir", str(traces), "--config", str(config)], capsys
+    )
+    assert rc == code
+    if code:
+        assert stderr.startswith("error: ") and "offset_search_slots" in stderr
+        assert f"is {search}; it must be below the references' slot width, 121" in stderr
+    else:
+        assert "a score=1.0000" in stdout
 
 
 @pytest.mark.parametrize(

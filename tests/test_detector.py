@@ -3,10 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
 from emanakey import (
+    ConfigError,
     DegenerateTraceError,
     DetectorConfig,
+    EmanakeyError,
     FileFormatError,
     NoSignalError,
     SampleRateError,
@@ -22,7 +25,7 @@ from emanakey import (
     radiate,
     threshold_and_peaks,
 )
-from emanakey.channel import EmanationTrace, synth_dataset
+from emanakey.channel import EmanationTrace, clean_waveform, synth_dataset
 from emanakey.detector import (
     _CHUNK_ROWS,
     AMPLITUDE,
@@ -30,8 +33,11 @@ from emanakey.detector import (
     DEFAULT_CONFIG,
     FILTER_TAPS,
     FLOOR,
+    _anchor_grids,
     _band_envelope,
     _grid_slots,
+    _normalize,
+    _peak_rows,
     _percentile_rows,
 )
 from emanakey.edges import EdgeSeries
@@ -42,6 +48,7 @@ from oracle import (
     amplitude_envelope,
     bandpass,
     detect_oracle,
+    glitch_burst_oracle,
     match,
 )
 
@@ -161,7 +168,7 @@ def test_bandpass_requires_adequate_rate(refs):
 
 def test_fused_envelope_matches_composition():
     trace = identity_trace("g")
-    fused = _band_envelope([trace.samples], FS, CFG)[0][0]
+    fused = _band_envelope([trace.samples], FS, CFG)[0][0, : trace.samples.size]
     composed = amplitude_envelope(bandpass(trace.samples, FS, CFG))
     peak = composed.max()
     assert np.abs(fused[400:-400] - composed[400:-400]).max() < 1e-3 * peak
@@ -271,7 +278,7 @@ def test_peaks_below_floor_ignored():
 
 def test_peak_count_matches_reference_on_clean_trace(refs):
     trace = identity_trace("a")
-    envelope = _band_envelope([trace.samples], FS, CFG)[0][0]
+    envelope = _band_envelope([trace.samples], FS, CFG)[0][0, : trace.samples.size]
     peaks = threshold_and_peaks(normalize(envelope), FS)
     assert peaks.size == refs[key_by_label("a")].ones
 
@@ -280,7 +287,7 @@ def test_no_peak_pair_violates_separation_on_detection(refs):
     preset = get_preset("open-space-3.8m")
     clean = radiate(build_keystroke_transaction(key_by_label("w")))
     trace = apply_channel(clean, replace(preset, seed=42), FS)
-    envelope = _band_envelope([trace.samples], FS, CFG)[0][0]
+    envelope = _band_envelope([trace.samples], FS, CFG)[0][0, : trace.samples.size]
     peaks = threshold_and_peaks(normalize(envelope), FS)
     min_gap = np.diff(peaks).min()
     assert min_gap >= (2 / 3) * (1 / 12e6) * 0.999
@@ -294,7 +301,7 @@ def grid_slots(peaks, ref):
     return _grid_slots(
         peaks[None, :], peaks[None, :1], np.array([0]), ref.bit_width, len(ref),
         CFG.proximity_window,
-    )[0, 0]
+    )[0][0, 0]
 
 
 def make_ref(n=20):
@@ -742,3 +749,180 @@ def test_detect_batch_follows_the_references_bit_rate():
     assert all(r.detected_edges.bit_width == 1 / 1.5e6 for r in results)
     got = [_outcome(r) for r in detect_batch(noisy, slow)]
     assert got == [_oracle_outcome(t, slow) for t in noisy]
+
+
+# --- one peak pass and one wide grid per chunk -------------------------------
+
+
+def _floored_envelope(trace, cfg=CFG):
+    """The floored envelope row the peak pass searches, taken from a lone row."""
+    n = trace.samples.size
+    block, scratch = _band_envelope([trace.samples], trace.sample_rate, cfg)
+    _normalize(block[:, :n], cfg, scratch)
+    y = block[0, :n].copy()
+    return y * (y >= FLOOR)
+
+
+def _assert_batch_equals_oracle(traces, refs, cfg=CFG):
+    expected = [_oracle_outcome(t, refs, cfg) for t in traces]
+    got = [_outcome(r) for r in detect_batch(traces, refs, cfg)]
+    for i, (have, want) in enumerate(zip(got, expected)):
+        assert have == want, f"row {i}: {have} != {want}"
+    return expected
+
+
+def test_row_whose_distance_rule_drops_a_peak_equals_oracle(refs):
+    traces = synth_dataset(
+        list(KEYS[:20]), get_preset("open-space-3.8m"), repeats=1, master_seed=3
+    )
+    min_sep = round(CFG.min_peak_separation * refs.bit_width * FS)
+    dropped = []
+    for i, trace in enumerate(traces):
+        y = _floored_envelope(trace)
+        maxima = sp_signal.find_peaks(y)[0]
+        if sp_signal.find_peaks(y, distance=min_sep)[0].size < maxima.size:
+            dropped.append(i)
+    assert dropped, "no row here has two maxima closer than the minimum separation"
+    assert len(dropped) < len(traces)
+    expected = _assert_batch_equals_oracle(traces, refs)
+    for i in dropped:
+        assert detect(traces[i], refs) == expected[i]
+
+
+def _edge_plateau_trace(key):
+    """A keystroke with a burst centred on its first and on its last sample.
+
+    The bursts' envelope tops the scale percentile at both ends, so the
+    normalized envelope is clipped to A there: a plateau that touches the
+    row's first and last samples.
+    """
+    burst = glitch_burst_oracle(2.0, FS)
+    half = burst.size // 2
+    samples = clean_waveform(key, FS).copy()
+    samples[: half + 1] += burst[half:]
+    samples[-half - 1 :] += burst[: half + 1]
+    return EmanationTrace(samples=samples, sample_rate=FS, ground_truth=key)
+
+
+def test_plateau_at_a_rows_first_and_last_sample_equals_oracle(refs):
+    plateaus = [_edge_plateau_trace(key) for key in KEYS[:6]]
+    for trace in plateaus:
+        y = _floored_envelope(trace)
+        assert y[0] == y[1] == AMPLITUDE and y[-2] == y[-1] == AMPLITUDE
+    others = synth_dataset(
+        list(KEYS[6:9]), get_preset("open-space-3m"), repeats=1, master_seed=4
+    )
+    # Plateau rows meet each other and ordinary rows at both ends.
+    traces = plateaus[:3] + others[:1] + plateaus[3:] + others[1:]
+    n = 3000
+    assert {t.samples.size for t in traces} == {n}
+
+    # One pass over the chunk finds in each row what find_peaks finds in
+    # that row alone.
+    block, scratch = _band_envelope([t.samples for t in traces], FS, CFG)
+    _normalize(block[:, :n], CFG, scratch)
+    min_sep = round(CFG.min_peak_separation * refs.bit_width * FS)
+    alone = [
+        sp_signal.find_peaks(y * (y >= FLOOR), distance=min_sep)[0] / FS
+        for y in block[:, :n].copy()
+    ]
+    times, counts = _peak_rows(block, n, FS, refs.bit_width, CFG)
+    for row, want in enumerate(alone):
+        assert np.array_equal(times[row, : counts[row]], want), row
+        assert np.isnan(times[row, counts[row] :]).all(), row
+
+    expected = _assert_batch_equals_oracle(traces, refs)
+    assert [r.key for r in expected[:3]] == list(KEYS[:3])
+
+
+def test_a_rows_bits_do_not_depend_on_its_chunk(refs):
+    traces = _mixed_length_dataset(36)
+    traces += synth_dataset(
+        list(KEYS[::3]), get_preset("office-12m"), repeats=1, master_seed=37
+    )
+    expected = _assert_batch_equals_oracle(traces, refs)
+    order = np.random.default_rng(36).permutation(len(traces))
+    got = detect_batch([traces[i] for i in order], refs)
+    assert [_outcome(r) for r in got] == [expected[i] for i in order]
+    got = detect_batch(traces[::-1], refs)
+    assert [_outcome(r) for r in got] == expected[::-1]
+    for start in range(0, len(traces), 7):
+        got = detect_batch(traces[start : start + 7], refs)
+        assert [_outcome(r) for r in got] == expected[start : start + 7]
+
+
+@pytest.mark.parametrize("offset_search", [0, 1, 5])
+def test_detect_batch_equals_oracle_at_offset_search(refs, offset_search):
+    cfg = DetectorConfig(offset_search=offset_search)
+    traces = synth_dataset(
+        list(KEYS[::5]), get_preset("open-space-3.8m"), repeats=1, master_seed=40
+    )
+    traces += synth_dataset(
+        list(KEYS[1::5]), get_preset("office-12m"), repeats=1, master_seed=41
+    )
+    traces.insert(3, _edge_plateau_trace(KEYS[5]))
+    _assert_batch_equals_oracle(traces, refs, cfg)
+
+
+def test_widest_offset_search_equals_oracle(refs):
+    cfg = DetectorConfig(offset_search=refs.slot_matrix.shape[1] - 1)
+    traces = synth_dataset(
+        list(KEYS[:3]), get_preset("open-space-3m"), repeats=1, master_seed=42
+    )
+    _assert_batch_equals_oracle(traces, refs, cfg)
+
+
+def test_offset_search_must_stay_below_the_slot_width(refs):
+    width = refs.slot_matrix.shape[1]
+    for search in (width, 100_000):
+        cfg = DetectorConfig(offset_search=search)
+        with pytest.raises(ConfigError, match=f"is {search}; .* slot width, {width}"):
+            detect(identity_trace(), refs, cfg)
+        with pytest.raises(EmanakeyError):
+            detect_batch([], refs, cfg)
+
+
+@pytest.mark.parametrize(
+    "sample_rate, proximity", [(250e6, 1 / 3), (72e6, 1 / 3), (60e6, 0.4), (48e6, 0.5)]
+)
+def test_wide_grid_shifted_by_whole_slots_is_each_offsets_grid_unless_unsure(
+    sample_rate, proximity
+):
+    # A peak lies a multiple of 1/6 slot from an anchor at 72 MS/s, of 0.2
+    # at 60 MS/s and of 0.25 at 48 MS/s, so positions sit on the proximity
+    # edge or on a half slot, where p + k can round unlike p: there the
+    # unsure flag must be up. At 250 MS/s (0.048 slot) none comes close.
+    rng = np.random.default_rng(int(sample_rate))
+    bit, search, width = 1 / 12e6, 2, 121
+    anchor_peaks, anchor_slots = _anchor_grids(search)
+    unsure_chunks = 0
+    for _ in range(40):
+        # Two rows, the second NaN-padded like a row with fewer peaks.
+        samples = rng.choice(np.arange(10, 3000), size=(2, 100), replace=False)
+        peaks = np.sort(samples, axis=1) / sample_rate
+        peaks[1, 60:] = np.nan
+        wide, unsure = _grid_slots(
+            peaks, peaks[:, :ANCHOR_CANDIDATES], np.full(ANCHOR_CANDIDATES, search), bit,
+            width + 2 * search, proximity,
+        )
+        grids, _ = _grid_slots(
+            peaks, peaks[:, anchor_peaks], anchor_slots, bit, width, proximity
+        )
+        unsure_chunks += unsure
+        if not unsure:
+            for g, (a, s) in enumerate(zip(anchor_peaks, anchor_slots)):
+                shifted = wide[:, a, search - s : search - s + width]
+                assert np.array_equal(shifted, grids[:, g]), (a, s)
+    assert (unsure_chunks > 0) == (sample_rate != 250e6)
+
+
+def test_chunk_scored_grid_by_grid_equals_oracle(refs):
+    # At 60 MS/s with a 0.4-slot proximity window, whole-slot shifts of
+    # these rows' wide grids differ from their per-offset grids, and the
+    # difference reaches the result.
+    cfg = DetectorConfig(proximity_window=0.4)
+    traces = synth_dataset(
+        [KEYS[i] for i in (13, 25, 44, 55)], get_preset("open-space-3.8m"),
+        repeats=1, master_seed=7, sample_rate=60e6,
+    )
+    _assert_batch_equals_oracle(traces, refs, cfg)
