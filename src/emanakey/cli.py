@@ -84,13 +84,21 @@ def _seed(spec: str) -> int:
     return value
 
 
+# 40x the default rate. One capture window is then about 121,000 samples,
+# and synthesizing an office-12m trace peaks near 160 MB; at 1e11 it took
+# 640 MB, and far above that the window cannot be allocated at all.
+MAX_SAMPLE_RATE = 1e10  # Hz
+
+
 def _sample_rate(spec: str) -> float:
-    """A synthesis sample rate: finite and above twice the detector's upper band edge."""
+    """A synthesis sample rate: above twice the detector's upper band edge,
+    at most MAX_SAMPLE_RATE."""
     rate = _positive(float)(spec)
     nyquist = 2 * DEFAULT_CONFIG.band_high
-    if rate <= nyquist:
+    if not nyquist < rate <= MAX_SAMPLE_RATE:
         raise argparse.ArgumentTypeError(
-            f"expected a sample rate above {nyquist:g} Hz, got {spec!r}"
+            f"expected a sample rate above {nyquist:g} Hz and at most "
+            f"{MAX_SAMPLE_RATE:g} Hz, got {spec!r}"
         )
     return rate
 

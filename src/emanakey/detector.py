@@ -19,17 +19,22 @@ detect_batch is the one implementation: it runs same-length traces as
 rows of a matrix, and detect is detect_batch on one trace. Every row gets
 the bits a lone trace gets. Each stage runs once per chunk of rows: one
 FFT pair for the envelope, one find_peaks pass over all rows (NaN between
-rows keeps peaks apart), and one matmul that scores every anchor at every
-offset, since an anchor's offsets are one slot vector shifted by whole
-slots.
+rows keeps peaks apart), and one stacked matmul that scores every anchor
+at every offset, since an anchor's offsets are one slot vector shifted by
+whole slots. A call with more than one chunk runs them on a pool of worker
+threads, one per CPU the process may use, built on the first such call; a
+call with one chunk, such as detect, runs it on the calling thread. The
+heavy steps (FFT, partition, BLAS) release the interpreter lock.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -455,14 +460,17 @@ def _match_peaks(
     wide, unsure = _grid_slots(
         peaks, anchors, np.array([search]), bit, width + 2 * search, cfg.proximity_window
     )
+    # One small GEMM per row, not one per chunk: each stays below the size
+    # at which OpenBLAS spreads a call over threads of its own, which would
+    # compete with the chunk workers. The counts are exact either way.
     if unsure:
         anchor_peaks, anchor_slots = _anchor_grids(search)
         grids, _ = _grid_slots(
             peaks, anchors[:, anchor_peaks], anchor_slots, bit, width, cfg.proximity_window
         )
-        mismatches = grids.reshape(-1, width) @ refs.mismatch_weights
+        mismatches = grids @ refs.mismatch_weights
     else:
-        mismatches = wide.reshape(-1, width + 2 * search) @ refs.shift_table(search)
+        mismatches = wide @ refs.shift_table(search)
     mismatches = mismatches.reshape(len(peaks), -1, len(keys))
     if cfg.min_peaks < ANCHOR_CANDIDATES:
         # A row may lack an anchor; a grid anchored at a missing peak never wins.
@@ -559,6 +567,47 @@ _CHUNK_ROWS = 32
 _KEPT_CELLS = _CHUNK_ROWS * 4096
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _chunk_map(chunks: int):
+    """The map that runs a call's chunks.
+
+    The built-in map for one chunk or one CPU, so such a call starts no
+    thread; else the worker pool's, built on first use.
+    """
+    global _pool
+    if chunks < 2:
+        return map
+    with _pool_lock:
+        if _pool is None:
+            workers = _cpus()
+            if workers < 2:
+                return map
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="emanakey-detect")
+        return _pool.map
+
+
+def _forget_pool() -> None:
+    # A forked child has none of the parent's threads, so work handed to
+    # the parent's pool would never run; the child builds its own.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def detect_batch(
     traces: list[EmanationTrace],
     refs: ReferenceSet,
@@ -568,12 +617,15 @@ def detect_batch(
 
     Traces are grouped by (length, sample rate), since both fix the FFT
     size, and each group is run in chunks of _CHUNK_ROWS rows: one
-    rfft/ifft pair, one row-wise partition for the scale, one find_peaks
-    pass and one matmul scoring every row's anchor grids against every
-    reference per chunk. A lone trace takes the same path as a chunk of
-    one row. A trace with no usable signal gets its NoSignalError in its
-    own slot and does not fail the batch. Raises ConfigError when
-    cfg.offset_search is not below the references' slot width.
+    rfft/ifft pair, one row-wise partition for the scale and one
+    find_peaks pass per chunk, and one matmul per row scoring its anchor
+    grids against every reference. Chunks run on the worker pool when
+    there are several; a lone trace takes the same path as a chunk of one
+    row, on the calling thread. A trace with no usable signal gets its
+    NoSignalError in its own slot and does not fail the batch. An error
+    that does, such as SampleRateError, is raised from the first failing
+    chunk in order. Raises ConfigError when cfg.offset_search is not below
+    the references' slot width.
     """
     width = refs.slot_matrix.shape[1]
     if cfg.offset_search >= width:
@@ -581,16 +633,23 @@ def detect_batch(
             "offset_search (offset_search_slots in a config file) is "
             f"{cfg.offset_search}; it must be below the references' slot width, {width}"
         )
-    outcomes: list[DetectionResult | NoSignalError | None] = [None] * len(traces)
     groups: dict[tuple[int, float], list[int]] = {}
     for i, trace in enumerate(traces):
         groups.setdefault((trace.samples.size, trace.sample_rate), []).append(i)
-    for (_, sample_rate), members in groups.items():
-        for start in range(0, len(members), _CHUNK_ROWS):
-            chunk = members[start : start + _CHUNK_ROWS]
-            rows = [traces[i].samples for i in chunk]
-            for i, outcome in zip(chunk, _detect_rows(rows, sample_rate, refs, cfg)):
-                outcomes[i] = outcome
+    chunks = [
+        (members[start : start + _CHUNK_ROWS], sample_rate)
+        for (_, sample_rate), members in groups.items()
+        for start in range(0, len(members), _CHUNK_ROWS)
+    ]
+
+    def run(chunk: tuple[list[int], float]) -> list[DetectionResult | NoSignalError]:
+        members, sample_rate = chunk
+        return _detect_rows([traces[i].samples for i in members], sample_rate, refs, cfg)
+
+    outcomes: list[DetectionResult | NoSignalError | None] = [None] * len(traces)
+    for (members, _), results in zip(chunks, _chunk_map(len(chunks))(run, chunks)):
+        for i, outcome in zip(members, results):
+            outcomes[i] = outcome
     return outcomes
 
 

@@ -123,22 +123,19 @@ def simulate_probed_waveform(frame: Frame, sample_rate: float) -> np.ndarray:
         DIFFERENTIAL_LEVEL[s] * DIFFERENTIAL_SWING_V for s in frame.slot_states()
     ]
     idle = DIFFERENTIAL_LEVEL[LineState.J] * DIFFERENTIAL_SWING_V
-    bounded = [idle] + levels + [idle]
+    bounded = np.array([idle] + levels + [idle])
 
     # Breakpoints for np.interp: each boundary contributes the end of the
     # previous level and the start of the next, the rise time apart.
     rise_time, pad = WIRED_RISE_TIME_S, WIRED_PAD_S
-    xp: list[float] = [-pad]
-    fp: list[float] = [idle]
-    for i in range(len(bounded) - 1):
-        t = i * bit  # boundary between bounded[i] and bounded[i+1]
-        xp.append(t - rise_time / 2)
-        fp.append(bounded[i])
-        xp.append(t + rise_time / 2)
-        fp.append(bounded[i + 1])
     end = (len(levels)) * bit
-    xp.append(end + pad)
-    fp.append(idle)
+    boundary = np.arange(len(bounded) - 1) * bit  # between bounded[i] and [i+1]
+    xp = np.concatenate((
+        [-pad],
+        np.column_stack((boundary - rise_time / 2, boundary + rise_time / 2)).ravel(),
+        [end + pad],
+    ))
+    fp = np.concatenate(([idle], np.column_stack((bounded[:-1], bounded[1:])).ravel(), [idle]))
 
     n = int(round((end + 2 * pad) * sample_rate))
     t = np.arange(n) / sample_rate - pad

@@ -114,9 +114,14 @@ class Packet:
     def stuffed_bits(self) -> tuple[int, ...]:
         return bit_stuff(self.bits())
 
+    @cached_property
+    def _line_states(self) -> tuple[LineState, ...]:
+        # Encoded once per packet: a frame's windows all read it.
+        return tuple(nrzi_encode(self.stuffed_bits())) + EOP_STATES
+
     def line_states(self) -> list[LineState]:
         """NRZI states for the stuffed bits plus the 3-slot EOP."""
-        return nrzi_encode(self.stuffed_bits()) + list(EOP_STATES)
+        return list(self._line_states)
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,7 @@ class Frame:
         for i, packet in enumerate(self._packet_range(window)):
             if i > 0:
                 states.extend([LineState.J] * self.gap_bits)
-            states.extend(packet.line_states())
+            states.extend(packet._line_states)
         return states
 
     def slot_count(self, window: str = "capture") -> int:

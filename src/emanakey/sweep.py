@@ -7,6 +7,7 @@ detections (no-signal) count as incorrect with zero score and margin.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import replace
 
@@ -31,14 +32,23 @@ NOISE_BASE_PRESET = "open-space-3.8m"  # the accuracy knee
 BENCH_PRESET = "open-space-3m"
 
 
-def _rows(
-    label: str, preset: ChannelPreset, traces, refs: ReferenceSet, cfg: DetectorConfig
-) -> list[SweepRow]:
-    """Detect every trace in one batch; one row per key, in key order."""
+def _detect_each(
+    datasets: list[list], refs: ReferenceSet, cfg: DetectorConfig
+) -> list[list]:
+    """Every dataset's detections, from one detect_batch call over them all.
+
+    One call gives the chunk workers the whole sweep to share out.
+    """
+    results = iter(detect_batch([t for traces in datasets for t in traces], refs, cfg))
+    return [list(itertools.islice(results, len(traces))) for traces in datasets]
+
+
+def _rows(label: str, preset: ChannelPreset, traces, results) -> list[SweepRow]:
+    """One row per key, in key order, from the traces and their detections."""
     outcomes = [
         (False, 0.0, 0.0) if isinstance(result, NoSignalError)
         else (result.key == trace.ground_truth, result.score, result.margin)
-        for trace, result in zip(traces, detect_batch(traces, refs, cfg))
+        for trace, result in zip(traces, results)
     ]
     correct, score, margin = (np.array(column) for column in zip(*outcomes))
     # Each key's traces in their order within the list, keys in index order.
@@ -92,11 +102,11 @@ def _preset_report(
     kind: str, own: dict, presets: list[ChannelPreset], refs: ReferenceSet,
     repeats: int, cfg: DetectorConfig, keys, master_seed: int | None,
 ) -> SweepReport:
-    """Synthesize one dataset per preset, sharing draws, and detect each."""
+    """Synthesize one dataset per preset, sharing draws, and detect them all."""
     datasets = synth_datasets(list(keys), presets, repeats=repeats, master_seed=master_seed)
     rows: list[SweepRow] = []
-    for preset, traces in zip(presets, datasets):
-        rows.extend(_rows(preset.name, preset, traces, refs, cfg))
+    for preset, traces, results in zip(presets, datasets, _detect_each(datasets, refs, cfg)):
+        rows.extend(_rows(preset.name, preset, traces, results))
     return _report(kind, own, rows, repeats, keys, master_seed)
 
 
@@ -167,16 +177,21 @@ def run_glitch_sweep(
     }
     # inject_glitch copies the samples, so every count shares one dataset.
     traces = synth_dataset(list(keys), base, repeats=repeats, master_seed=master_seed)
-    rows: list[SweepRow] = []
-    for count in glitch_counts:
-        glitched = [
+    datasets = [
+        [
             inject_glitch(
                 t, count, seed=(i * 7919 + count),
                 base_amplitude=signal_peak[t.ground_truth],
             )
             for i, t in enumerate(traces)
         ]
-        rows.extend(_rows(f"glitch-{count}", base, glitched, refs, cfg))
+        for count in glitch_counts
+    ]
+    rows: list[SweepRow] = []
+    for count, glitched, results in zip(
+        glitch_counts, datasets, _detect_each(datasets, refs, cfg)
+    ):
+        rows.extend(_rows(f"glitch-{count}", base, glitched, results))
     own = {
         "base_preset": base_preset,
         "counts": ",".join(str(c) for c in glitch_counts),

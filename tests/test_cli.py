@@ -416,6 +416,31 @@ def test_bad_sample_rate_is_a_usage_error(tmp_path, capsys, rate):
     assert not list(tmp_path.rglob("*.emtr"))
 
 
+# 1e300 would need a window too large to allocate; 1.1e10 is just past the
+# limit the message names.
+@pytest.mark.parametrize("rate", ["1e300", "1.1e10"])
+def test_sample_rate_above_the_limit_is_a_usage_error(tmp_path, capsys, rate):
+    from emanakey.cli import MAX_SAMPLE_RATE
+
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--keys", "a", "--preset", "identity",
+              "--sample-rate", rate, "--out-dir", str(tmp_path / "t")])
+    assert exc.value.code == 2
+    stderr = capsys.readouterr().err
+    assert f"at most {MAX_SAMPLE_RATE:g} Hz" in stderr and repr(rate) in stderr
+    assert "Traceback" not in stderr
+    assert not list(tmp_path.rglob("*.emtr"))
+
+
+def test_sample_rate_at_the_limit_synthesizes(tmp_path, capsys):
+    from emanakey.cli import MAX_SAMPLE_RATE
+
+    rc, stdout, _ = run(["synth", "--keys", "a", "--preset", "identity", "--repeats", "1",
+                         "--sample-rate", repr(MAX_SAMPLE_RATE),
+                         "--out-dir", str(tmp_path / "t")], capsys)
+    assert rc == 0 and "wrote 1 traces" in stdout
+
+
 def test_trace_with_malformed_preset_is_a_data_error(tmp_path, capsys):
     import emanakey
     from emanakey.traceio import _TRACE_HEADER

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -652,7 +655,6 @@ def _mixed_length_dataset(seed):
 
 def test_concurrent_detect_batch_equals_serial(refs):
     import sys
-    import threading
 
     datasets = [_mixed_length_dataset(31), _mixed_length_dataset(32), [_long_trace()]]
     serial = [[_outcome(r) for r in detect_batch(ds, refs)] for ds in datasets]
@@ -716,10 +718,12 @@ def test_lone_detect_after_full_chunk_equals_oracle(refs):
 
 def test_thread_keeps_no_workspace_above_a_full_sweep_chunk(refs):
     # A full chunk of sweep traces stays in the thread for the next call;
-    # a 250,000-sample capture's buffers are freed with its call.
+    # a 250,000-sample capture's buffers are freed with its call. A call
+    # with one chunk runs it on the calling thread.
     from emanakey import detector
 
-    detect_batch(_mixed_length_dataset(35), refs)
+    same_length = [t for t in _mixed_length_dataset(35) if t.samples.size == 3000]
+    detect_batch(same_length[:_CHUNK_ROWS], refs)
     kept = detector._local.workspace
     assert kept.padded.shape[0] >= _CHUNK_ROWS
     assert kept.padded.size <= detector._KEPT_CELLS
@@ -926,3 +930,149 @@ def test_chunk_scored_grid_by_grid_equals_oracle(refs):
         repeats=1, master_seed=7, sample_rate=60e6,
     )
     _assert_batch_equals_oracle(traces, refs, cfg)
+
+
+# --- chunk workers ------------------------------------------------------------
+
+
+@pytest.fixture
+def chunk_workers(monkeypatch):
+    """The detector module with no pool yet and four CPUs to build one for,
+    so multi-chunk calls take the worker path on any host."""
+    from emanakey import detector
+
+    monkeypatch.setattr(detector, "_cpus", lambda: 4)
+    monkeypatch.setattr(detector, "_pool", None)
+    yield detector
+    if detector._pool is not None:
+        detector._pool.shutdown()
+
+
+def _two_rate_dataset():
+    """Traces of 3000 and 3021 samples at 250 MS/s and of two lengths at
+    200 MS/s, interleaved: four groups, six chunks."""
+    fast = _mixed_length_dataset(37)
+    slow = synth_dataset(
+        list(KEYS), get_preset("open-space-3m"), repeats=1, master_seed=38,
+        sample_rate=200e6,
+    )
+    assert len({t.samples.size for t in slow}) == 2
+    return [t for pair in zip(fast, slow) for t in pair]
+
+
+def test_chunks_on_the_workers_equal_the_single_trace_oracle(
+    refs, chunk_workers, monkeypatch
+):
+    threads = []
+    detect_rows = chunk_workers._detect_rows
+
+    def recording(*args):
+        threads.append(threading.current_thread().name)
+        return detect_rows(*args)
+
+    monkeypatch.setattr(chunk_workers, "_detect_rows", recording)
+    traces = _two_rate_dataset()
+    got = [_outcome(r) for r in detect_batch(traces, refs)]
+    assert len(threads) > 4
+    assert all(name.startswith("emanakey-detect") for name in threads)
+    for i, (have, trace) in enumerate(zip(got, traces)):
+        assert have == _oracle_outcome(trace, refs), f"row {i}"
+
+
+def test_sample_rate_error_from_one_group_propagates_from_the_workers(refs, chunk_workers):
+    traces = _mixed_length_dataset(39)
+    slow = EmanationTrace(samples=traces[0].samples, sample_rate=30e6)
+    for batch in (traces + [slow], [slow] + traces):
+        with pytest.raises(SampleRateError):
+            detect_batch(batch, refs)
+    assert chunk_workers._pool is not None
+    # The pool still serves the next call.
+    assert [_outcome(r) for r in detect_batch(traces, refs)] == [
+        _outcome(detect_batch([t], refs)[0]) for t in traces
+    ]
+
+
+def test_pool_is_built_only_for_a_call_with_several_chunks(refs, chunk_workers):
+    same_length = [t for t in _mixed_length_dataset(40) if t.samples.size == 3000]
+    before = set(threading.enumerate())
+    try:
+        detect(same_length[0], refs)
+    except NoSignalError:
+        pass
+    detect_batch(same_length[:_CHUNK_ROWS], refs)
+    assert chunk_workers._pool is None
+    assert set(threading.enumerate()) == before
+    detect_batch(same_length[: _CHUNK_ROWS + 1], refs)
+    assert chunk_workers._pool is not None
+
+
+def test_one_cpu_runs_every_chunk_on_the_calling_thread(refs, chunk_workers, monkeypatch):
+    monkeypatch.setattr(chunk_workers, "_cpus", lambda: 1)
+    traces = _mixed_length_dataset(41)
+    got = [_outcome(r) for r in detect_batch(traces, refs)]
+    assert chunk_workers._pool is None
+    assert got == [_oracle_outcome(t, refs) for t in traces]
+
+
+def _detect_in_child(traces, refs, conn):
+    conn.send([_outcome(r) for r in detect_batch(traces, refs)])
+    conn.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_detects_after_the_parent_used_the_pool(refs, chunk_workers):
+    # The child has none of the parent's worker threads; it must not hand
+    # its chunks to the parent's pool, where they would never run.
+    traces = _mixed_length_dataset(42)
+    parent = [_outcome(r) for r in detect_batch(traces, refs)]
+    assert chunk_workers._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_detect_in_child, args=(traces, refs, writer))
+    child.start()
+    try:
+        assert reader.poll(30), "the forked child's detect_batch did not finish"
+        got = reader.recv()
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert not child.is_alive() and child.exitcode == 0
+    assert got == parent
+
+
+def _chunk_grids(traces, refs, cfg=CFG):
+    """One chunk's wide slot vectors and per-offset grids, from its real peaks."""
+    n, rate = traces[0].samples.size, traces[0].sample_rate
+    block, scratch = _band_envelope([t.samples for t in traces], rate, cfg)
+    _normalize(block[:, :n], cfg, scratch)
+    peaks, _ = _peak_rows(block, n, rate, refs.bit_width, cfg)
+    search, width = cfg.offset_search, refs.slot_matrix.shape[1]
+    anchors = peaks[:, :ANCHOR_CANDIDATES]
+    wide, _ = _grid_slots(
+        peaks, anchors, np.array([search]), refs.bit_width, width + 2 * search,
+        cfg.proximity_window,
+    )
+    anchor_peaks, anchor_slots = _anchor_grids(search)
+    grids, _ = _grid_slots(
+        peaks, anchors[:, anchor_peaks], anchor_slots, refs.bit_width, width,
+        cfg.proximity_window,
+    )
+    return wide, grids
+
+
+def test_stacked_matmul_counts_equal_the_flat_matmul(refs):
+    # A full chunk's flat GEMM is large enough for BLAS to split it over
+    # threads; per-row GEMMs are not. The counts must agree either way.
+    traces = [t for t in _mixed_length_dataset(43) if t.samples.size == 3000]
+    wide, grids = _chunk_grids(traces[:_CHUNK_ROWS], refs)
+    table = refs.shift_table(CFG.offset_search)
+    stacked = wide @ table
+    flat = wide.reshape(-1, wide.shape[-1]) @ table
+    assert stacked.dtype == np.float32
+    assert np.array_equal(stacked.reshape(flat.shape), flat)
+    stacked = grids @ refs.mismatch_weights
+    flat = grids.reshape(-1, grids.shape[-1]) @ refs.mismatch_weights
+    assert np.array_equal(stacked.reshape(flat.shape), flat)
+    assert np.array_equal(stacked, np.rint(stacked))
