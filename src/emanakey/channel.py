@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import frames
+from .dsp import _percentile_rows
 from .edges import EdgeSeries, edge_signs
 from .errors import FileFormatError, UnknownPresetError
 from .frames import Frame
@@ -335,28 +336,6 @@ def _glitch_burst(amplitude: float, sample_rate: float) -> np.ndarray:
     # would lose ~24 dB of amplitude to out-of-band rejection.
     env, carrier = _glitch_shape(sample_rate)
     return amplitude * env * carrier
-
-
-def _percentile_rows(x: np.ndarray, q: float) -> np.ndarray:
-    """np.percentile(x, q, axis=-1, keepdims=True) of finite x, bit for bit.
-
-    numpy's default "linear" method reads each sorted row at the virtual
-    index (n - 1) * (q / 100) and interpolates its two neighbours with
-    numpy's _lerp arithmetic, which takes the upper neighbour as base once
-    the fraction reaches 0.5. Only those two order statistics are needed,
-    so one partition replaces the sort; x is partitioned in place.
-    """
-    n = x.shape[-1]
-    virtual = (n - 1) * (q / 100)
-    lo = min(math.floor(virtual), n - 1)
-    hi = min(lo + 1, n - 1)
-    gamma = virtual - lo
-    x.partition((lo, hi), axis=-1)
-    below, above = x[..., lo : lo + 1], x[..., hi : hi + 1]
-    diff = above - below
-    if gamma >= 0.5:
-        return above - diff * (1 - gamma)
-    return below + diff * gamma
 
 
 def _robust_max(x: np.ndarray) -> float:

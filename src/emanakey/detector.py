@@ -18,13 +18,18 @@ to trace scaling.
 detect_batch is the one implementation: it runs same-length traces as
 rows of a matrix, and detect is detect_batch on one trace. Every row gets
 the bits a lone trace gets. Each stage runs once per chunk of rows: one
-FFT pair for the envelope, one find_peaks pass over all rows (NaN between
-rows keeps peaks apart), and one stacked matmul that scores every anchor
-at every offset, since an anchor's offsets are one slot vector shifted by
-whole slots. A call with more than one chunk runs them on a pool of worker
-threads, one per CPU the process may use, built on the first such call; a
-call with one chunk, such as detect, runs it on the calling thread. The
-heavy steps (FFT, partition, BLAS) release the interpreter lock.
+FFT pair for the envelope, one local-maxima pass over all rows (NaN
+between rows keeps peaks apart), and one stacked matmul that scores every
+anchor at every offset, since an anchor's offsets are one slot vector
+shifted by whole slots. A call with more than one chunk runs them on a
+pool of worker threads, one per CPU the process may use, built on the
+first such call; a call with one chunk, such as detect, runs it on the
+calling thread. The heavy steps (FFT, partition, BLAS) release the
+interpreter lock.
+
+The filter design, FFT size and peak finder come from emanakey.dsp, numpy
+ports of the SciPy routines that give the same bits; the package imports
+numpy alone.
 """
 
 from __future__ import annotations
@@ -40,10 +45,15 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy import signal as sp_signal
 
-from .channel import EmanationTrace, _percentile_rows
+from .channel import EmanationTrace
+from .dsp import (
+    _percentile_rows,
+    frequency_sampling_taps,
+    keep_by_distance,
+    local_maxima,
+    next_fast_len,
+)
 from .edges import EdgeSeries, ReferenceSet, _read_only
 from .errors import (
     ConfigError,
@@ -166,9 +176,7 @@ def _bandpass_taps(sample_rate: float, band_low: float, band_high: float) -> np.
     resp = np.exp(-0.5 * ((freqs - center) / sigma_f) ** 2)
     resp[freqs > center + 3.5 * sigma_f] = 0.0
     resp[freqs < center - 3.5 * sigma_f] = 0.0
-    return sp_signal.firwin2(
-        FILTER_TAPS, freqs, resp, fs=sample_rate, window=("kaiser", 5.0)
-    )
+    return frequency_sampling_taps(FILTER_TAPS, freqs, resp, sample_rate, beta=5.0)
 
 
 @lru_cache(maxsize=16)
@@ -182,12 +190,12 @@ def _analytic_filter(
     the filter changes no bit of the product.
     """
     h = _bandpass_taps(sample_rate, band_low, band_high)
-    nfft = sp_fft.next_fast_len(n + h.size - 1)
+    nfft = next_fast_len(n + h.size - 1)
     weights = np.full(nfft // 2 + 1, 2.0)
     weights[0] = 1.0
     if nfft % 2 == 0:
         weights[-1] = 1.0
-    return nfft, _read_only(sp_fft.rfft(h, nfft) * weights)
+    return nfft, _read_only(np.fft.rfft(h, nfft) * weights)
 
 
 class _Workspace:
@@ -311,19 +319,21 @@ def _peak_rows(
 
     ``block`` holds x in its first n columns and NaN in the rest; x is
     floored in place. Flooring leaves every sample at 0 or at least the
-    floor, so each local maximum already clears it and find_peaks needs
-    no height test. One find_peaks pass runs over the whole block
+    floor, so each local maximum already clears it and the peaks need no
+    height test. One local_maxima pass runs over the whole block
     flattened: NaN compares false, so no peak or plateau runs from one row
     into the next, and each row gets the maxima a pass over it alone finds.
     The min-separation rule keeps every maximum of a row where no two lie
-    closer than min_sep, so it runs only on the rows where two do.
+    closer than min_sep, so it runs only on the rows where two do, on
+    those rows' maxima: find_peaks(row, distance=min_sep) would find the
+    same maxima again.
 
     Times are (rows, peaks), NaN-padded, with at least ANCHOR_CANDIDATES
     columns; counts are (rows,).
     """
     y = block[:, :n]
     y *= y >= FLOOR
-    maxima = sp_signal.find_peaks(block.reshape(-1))[0]
+    maxima = local_maxima(block.reshape(-1))
     row_of, col = np.divmod(maxima, block.shape[1])
     counts = np.bincount(row_of, minlength=block.shape[0])
     times = np.full((block.shape[0], max(ANCHOR_CANDIDATES, counts.max())), np.nan)
@@ -333,8 +343,10 @@ def _peak_rows(
     close = maxima[1:] - maxima[:-1] < min_sep
     if np.count_nonzero(close):
         close &= row_of[1:] == row_of[:-1]
-        for row in np.unique(row_of[1:][close]):
-            kept = sp_signal.find_peaks(y[row], distance=min_sep)[0]
+        for row in np.unique(row_of[1:][close]).tolist():
+            lo, hi = np.searchsorted(row_of, (row, row + 1))
+            cols = col[lo:hi]
+            kept = cols[keep_by_distance(cols, y[row, cols], min_sep)]
             times[row] = np.nan
             times[row, : kept.size] = kept / sample_rate
             counts[row] = kept.size
@@ -618,7 +630,7 @@ def detect_batch(
     Traces are grouped by (length, sample rate), since both fix the FFT
     size, and each group is run in chunks of _CHUNK_ROWS rows: one
     rfft/ifft pair, one row-wise partition for the scale and one
-    find_peaks pass per chunk, and one matmul per row scoring its anchor
+    local-maxima pass per chunk, and one matmul per row scoring its anchor
     grids against every reference. Chunks run on the worker pool when
     there are several; a lone trace takes the same path as a chunk of one
     row, on the calling thread. A trace with no usable signal gets its

@@ -8,7 +8,9 @@ the series is both the per-key reference and the detector's feature.
 Two generation routes exist and must agree on clean input: the analytic
 route reads transitions straight off the encoded line states, and the
 probed-waveform route runs the wire-capture pipeline (lowpass, differentiate,
-peak detect) over a synthesized differential trace.
+peak detect) over a synthesized differential trace. Its Hamming lowpass
+and its peak finder are emanakey.dsp's numpy ports of scipy.signal's
+firwin and find_peaks, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .bits import DIFFERENTIAL_LEVEL, LineState
+from .dsp import _percentile_rows, find_peaks, lowpass_taps
 from .errors import EmptySeriesError, SampleRateError
 from .frames import FULL_SPEED_BIT_RATE, Frame, build_keystroke_transaction
 from .keys import KEYS, KeyId
@@ -146,7 +148,7 @@ def simulate_probed_waveform(frame: Frame, sample_rate: float) -> np.ndarray:
 def _wired_lowpass(sample_rate: float) -> np.ndarray:
     """The wire pipeline's lowpass FIR, designed once per sample rate."""
     return _read_only(
-        sp_signal.firwin(WIRED_LOWPASS_TAPS, WIRED_LOWPASS_CUTOFF_HZ, fs=sample_rate)
+        lowpass_taps(WIRED_LOWPASS_TAPS, WIRED_LOWPASS_CUTOFF_HZ, sample_rate)
     )
 
 
@@ -162,18 +164,24 @@ def wired_pipeline_edges(
     assigned on a grid anchored at the first peak. ``expected_slots`` pads
     the series with trailing zero slots up to the window length when the
     caller knows it (references do); otherwise the series ends at the last
-    detected edge.
+    detected edge. Raises EmptySeriesError for a waveform shorter than the
+    lowpass, one that is not finite, or one with no edge.
     """
     x = np.asarray(waveform, dtype=np.float64)
+    if x.size < WIRED_LOWPASS_TAPS:
+        raise EmptySeriesError(
+            f"probed waveform has {x.size} samples; the lowpass needs at least "
+            f"{WIRED_LOWPASS_TAPS}"
+        )
+    if not np.isfinite(x).all():
+        raise EmptySeriesError("probed waveform is not finite")
     # Odd-length symmetric FIR + centered convolution = group delay removed.
     filtered = np.convolve(x, _wired_lowpass(sample_rate), mode="same")
     deriv = np.abs(np.gradient(filtered))
 
-    robust_max = np.percentile(deriv, 99.0)
+    robust_max = _percentile_rows(deriv.copy(), 99.0)[0]  # the peak pass reads deriv
     min_sep = max(1, int(round(PEAK_SEPARATION_BIT_FRACTION * bit_width * sample_rate)))
-    peaks, _ = sp_signal.find_peaks(
-        deriv, height=WIRED_PEAK_THRESHOLD * robust_max, distance=min_sep
-    )
+    peaks = find_peaks(deriv, height=WIRED_PEAK_THRESHOLD * robust_max, distance=min_sep)
     if peaks.size == 0:
         raise EmptySeriesError("no derivative peaks found in probed waveform")
 

@@ -41,8 +41,8 @@ from emanakey.detector import (
     _grid_slots,
     _normalize,
     _peak_rows,
-    _percentile_rows,
 )
+from emanakey.dsp import _percentile_rows
 from emanakey.edges import EdgeSeries
 from emanakey.keys import KEYS
 

@@ -15,7 +15,13 @@ from emanakey import (
     simulate_probed_waveform,
     wired_pipeline_edges,
 )
-from emanakey.edges import EdgeSeries, ReferenceSet, edge_signs, pairwise_distance
+from emanakey.edges import (
+    WIRED_LOWPASS_TAPS,
+    EdgeSeries,
+    ReferenceSet,
+    edge_signs,
+    pairwise_distance,
+)
 from emanakey.frames import PacketKind
 
 from oracle import edge_signs_oracle
@@ -103,6 +109,32 @@ def test_pipeline_empty_input_raises():
         wired_pipeline_edges(np.zeros(5000), 250e6, 1 / 12e6)
 
 
+@pytest.mark.parametrize("n", [0, 1, WIRED_LOWPASS_TAPS - 1])
+def test_pipeline_waveform_shorter_than_the_lowpass_raises(n):
+    # 'same' convolution returns the longer of waveform and taps, so a
+    # shorter waveform would get peaks at samples it does not have.
+    wave = np.zeros(n)
+    wave[n // 2 :] = 3.3
+    with pytest.raises(EmptySeriesError, match=f"at least {WIRED_LOWPASS_TAPS}"):
+        wired_pipeline_edges(wave, 250e6, 1 / 12e6)
+
+
+def test_pipeline_waveform_as_long_as_the_lowpass_is_read():
+    wave = np.zeros(WIRED_LOWPASS_TAPS)
+    wave[WIRED_LOWPASS_TAPS // 2 :] = 3.3
+    series = wired_pipeline_edges(wave, 250e6, 1 / 12e6)
+    assert series.ones == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pipeline_non_finite_waveform_raises(bad):
+    frame = build_keystroke_transaction(key_by_label("k"))
+    wave = simulate_probed_waveform(frame, 250e6)
+    wave[wave.size // 2] = bad
+    with pytest.raises(EmptySeriesError, match="not finite"):
+        wired_pipeline_edges(wave, 250e6, frame.bit_time)
+
+
 def test_reference_set_build(refs):
     assert len(refs) == 70
     widths = {refs[k].bit_width for k in refs.keys_in_order()}
@@ -178,14 +210,14 @@ def test_pipeline_lowpass_designed_once(monkeypatch):
     from emanakey import edges
 
     calls = []
-    firwin = edges.sp_signal.firwin
+    lowpass_taps = edges.lowpass_taps
 
-    def counting_firwin(*args, **kwargs):
+    def counting_lowpass_taps(*args, **kwargs):
         calls.append(args)
-        return firwin(*args, **kwargs)
+        return lowpass_taps(*args, **kwargs)
 
     edges._wired_lowpass.cache_clear()
-    monkeypatch.setattr(edges.sp_signal, "firwin", counting_firwin)
+    monkeypatch.setattr(edges, "lowpass_taps", counting_lowpass_taps)
     first = build_reference_set("pipeline")
     second = build_reference_set("pipeline")
     edges._wired_lowpass.cache_clear()
