@@ -179,6 +179,8 @@ class EmanationTrace:
         samples = np.ascontiguousarray(self.samples, dtype=np.float32)
         if not np.all(np.isfinite(samples)):
             raise ValueError("trace samples must be finite")
+        if not 0 < self.sample_rate < math.inf:  # NaN compares false
+            raise ValueError(f"sample rate must be finite and > 0, got {self.sample_rate!r}")
         object.__setattr__(self, "samples", samples)
 
     def __eq__(self, other) -> bool:

@@ -375,45 +375,33 @@ def threshold_and_peaks(
 def _grid_slots(
     peak_times: np.ndarray,
     anchors: np.ndarray,
-    anchor_slots: np.ndarray,
+    anchor_slot: int,
     bit_width: float,
     n_slots: int,
     proximity: float,
-) -> tuple[np.ndarray, bool]:
-    """Slot vectors of every row's (anchor, anchor_slot) grids; are any unsure?
+) -> np.ndarray:
+    """Slot vectors of every row's grids: (rows, anchors, n_slots) float32 0/1.
 
-    ``peak_times`` is (rows, peaks), ``anchors`` (rows, grids) and
-    ``anchor_slots`` (grids,) or (1,); NaN pads ragged rows and fills no
-    slot. Grid j puts slot ``anchor_slots[j]`` at its anchor. Returns the
-    slots as (rows, grids, n_slots) float32 0/1, and whether any position
-    is unsure.
-
-    A peak at position p (in slots) fills slot rint(p) if p lies within
-    ``proximity`` of it, so adding k to an anchor slot shifts the grid by k
-    slots, unless p + k rounds differently from p. A position is unsure
-    when it lies within rounding error of the proximity edge (or of a half
-    slot, if the window reaches it), where such a shift can move a peak
-    across the edge or by a slot. The margin covers |k| < n_slots; a
-    position farther out than that is outside every such grid.
+    ``peak_times`` is (rows, peaks) and ``anchors`` (rows, anchors); NaN
+    pads ragged rows and fills no slot. Each grid puts slot ``anchor_slot``
+    at its anchor. A peak p slots from the anchor fills slot
+    rint(p) + anchor_slot when p lies within ``proximity`` of rint(p).
+    p is rounded before ``anchor_slot`` is added, so the float rounding of
+    p + anchor_slot cannot move a peak on the window's edge, and the grid of
+    another anchor slot is this one shifted by whole slots.
     """
     pos = peak_times[:, None, :] - anchors[:, :, None]
     pos /= bit_width
-    pos += anchor_slots[:, None]
     idx = np.rint(pos)
     pos -= idx
-    frac = np.abs(pos, out=pos)
-    ok = frac <= proximity
+    ok = np.abs(pos, out=pos) <= proximity
+    idx += anchor_slot
     np.greater_equal(idx, 0, out=ok, where=ok)
     np.less(idx, n_slots, out=ok, where=ok)
-    # Only the window's edge can matter: a position near a half slot stays
-    # outside the window either way, unless the window reaches 0.5.
-    frac -= min(proximity, 0.5)
-    edge = np.abs(frac, out=frac)
-    unsure = np.count_nonzero(edge <= n_slots * 2.0**-47) > 0  # NaN compares false
     idx += _grid_base(anchors.shape, n_slots)
     slots = np.zeros(anchors.shape + (n_slots,), dtype=np.float32)
     slots.reshape(-1)[idx[ok].astype(np.intp)] = 1.0
-    return slots, unsure
+    return slots
 
 
 @lru_cache(maxsize=64)
@@ -421,19 +409,6 @@ def _grid_base(shape: tuple[int, int], n_slots: int) -> np.ndarray:
     """Flat offset of each (row, grid) slot vector: (rows, grids, 1) float64."""
     base = np.arange(shape[0] * shape[1], dtype=np.float64) * n_slots
     return _read_only(base.reshape(shape + (1,)))
-
-
-@lru_cache(maxsize=8)
-def _anchor_grids(offset_search: int) -> tuple[np.ndarray, np.ndarray]:
-    """The anchoring peak and anchor slot of each grid: two (grids,) int arrays.
-
-    Grid j anchors slot ``slots[j]`` at peak ``peaks[j]``; each of the
-    leading ANCHOR_CANDIDATES peaks is tried at every slot within
-    +/-offset_search of slot 0.
-    """
-    offsets = np.arange(-offset_search, offset_search + 1)
-    peaks = np.repeat(np.arange(ANCHOR_CANDIDATES), offsets.size)
-    return _read_only(peaks), _read_only(np.tile(offsets, ANCHOR_CANDIDATES))
 
 
 def _agreement(mismatches: np.ndarray, refs: ReferenceSet) -> np.ndarray:
@@ -453,12 +428,12 @@ def _match_peaks(
     """Best (anchor, offset) grid per key for each row of NaN-padded peak times.
 
     The first ANCHOR_CANDIDATES peaks of a row are tried as grid anchors,
-    each at every slot within +/-offset_search of slot 0. The grids of one
-    anchor are one wide slot vector, over slots -offset_search to
-    width + offset_search - 1, shifted by whole slots: each anchor places
-    the row's peaks once, and one matmul with the references' shift table
-    scores every offset. A chunk with an unsure position (see _grid_slots)
-    is scored grid by grid instead, with the same bits. Ties resolve to the
+    each at every slot within +/-offset_search of slot 0. A peak fills the
+    same slot, counted from its anchor, at every offset (see _grid_slots),
+    so the grids of one anchor are one wide slot vector, over slots
+    -offset_search to width + offset_search - 1, shifted by whole slots:
+    each anchor places the row's peaks once, and one matmul with the
+    references' shift table scores every offset. Ties resolve to the
     lowest key index and are flagged.
     """
     keys = refs.keys_in_order()
@@ -469,21 +444,13 @@ def _match_peaks(
     rows = np.arange(len(peaks))
     anchors = peaks[:, :ANCHOR_CANDIDATES]
 
-    wide, unsure = _grid_slots(
-        peaks, anchors, np.array([search]), bit, width + 2 * search, cfg.proximity_window
+    wide = _grid_slots(
+        peaks, anchors, search, bit, width + 2 * search, cfg.proximity_window
     )
     # One small GEMM per row, not one per chunk: each stays below the size
     # at which OpenBLAS spreads a call over threads of its own, which would
     # compete with the chunk workers. The counts are exact either way.
-    if unsure:
-        anchor_peaks, anchor_slots = _anchor_grids(search)
-        grids, _ = _grid_slots(
-            peaks, anchors[:, anchor_peaks], anchor_slots, bit, width, cfg.proximity_window
-        )
-        mismatches = grids @ refs.mismatch_weights
-    else:
-        mismatches = wide @ refs.shift_table(search)
-    mismatches = mismatches.reshape(len(peaks), -1, len(keys))
+    mismatches = (wide @ refs.shift_table(search)).reshape(len(peaks), -1, len(keys))
     if cfg.min_peaks < ANCHOR_CANDIDATES:
         # A row may lack an anchor; a grid anchored at a missing peak never wins.
         mismatches.reshape(len(peaks), ANCHOR_CANDIDATES, n_offsets, -1)[
@@ -505,10 +472,7 @@ def _match_peaks(
     )):
         a, o = divmod(g, n_offsets)
         offset = o - search
-        if unsure:
-            slots = grids[row, g, : lengths[w]]
-        else:
-            slots = wide[row, a, search - offset : search - offset + lengths[w]]
+        slots = wide[row, a, search - offset : search - offset + lengths[w]]
         results.append(DetectionResult(
             key=keys[w],
             score=s,

@@ -39,6 +39,10 @@ REF_VERSION = 1
 _REF_HEADER = struct.Struct("<4sHIH")  # magic, version, bit rate, entry count
 _REF_ENTRY = struct.Struct("<BH")  # key index, slot count
 
+# The least magnitude that rounds to inf as a float32: float32 max plus
+# half its last step.
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
+
 
 # --- trace files --------------------------------------------------------
 
@@ -90,14 +94,17 @@ def read_trace(path: str | Path) -> EmanationTrace:
     if not isinstance(meta, dict):
         raise FileFormatError(f"{path}: metadata block is not a JSON object")
     label, preset = meta.get("ground_truth"), meta.get("preset")
-    return EmanationTrace(
-        samples=samples,
-        sample_rate=float(rate),
-        ground_truth=None if label is None else key_by_label(label),
-        preset=None if preset is None else preset_from_document(preset, path),
-        seed=_int_or_none(meta, "seed", path),
-        repeat=_int_or_none(meta, "repeat", path),
-    )
+    try:
+        return EmanationTrace(
+            samples=samples,
+            sample_rate=float(rate),
+            ground_truth=None if label is None else key_by_label(label),
+            preset=None if preset is None else preset_from_document(preset, path),
+            seed=_int_or_none(meta, "seed", path),
+            repeat=_int_or_none(meta, "repeat", path),
+        )
+    except ValueError as exc:  # a non-finite sample or a zero rate
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def _int_or_none(meta: dict, key: str, path: str | Path) -> int | None:
@@ -109,7 +116,11 @@ def _int_or_none(meta: dict, key: str, path: str | Path) -> int | None:
 
 
 def import_csv(path: str | Path, sample_rate: float) -> EmanationTrace:
-    """One sample per line; a single leading header line is tolerated."""
+    """One sample per line; a single leading header line is tolerated.
+
+    A row that is no number, or none that is finite as a float32 sample,
+    raises CsvParseError with its line number.
+    """
     values: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -117,13 +128,18 @@ def import_csv(path: str | Path, sample_rate: float) -> EmanationTrace:
             if not text:
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 if lineno == 1 and not values:
                     continue  # header
                 raise CsvParseError(
                     f"{path}: non-numeric row {text!r} at line {lineno}", lineno
                 ) from None
+            if not abs(value) < _FLOAT32_OVERFLOW:  # NaN compares false
+                raise CsvParseError(
+                    f"{path}: non-finite row {text!r} at line {lineno}", lineno
+                )
+            values.append(value)
     return EmanationTrace(
         samples=np.asarray(values, dtype=np.float32), sample_rate=sample_rate
     )

@@ -293,9 +293,9 @@ def detect_oracle(trace, refs: ReferenceSet, cfg=DEFAULT_CONFIG) -> DetectionRes
     anchors = np.repeat(peak_times[:n_anchors], offsets_1d.size)
     anchor_slots = np.tile(offsets_1d, n_anchors)
     pos = (peak_times[None, :] - anchors[:, None]) / bit
-    pos = pos + anchor_slots[:, None]
-    idx = np.rint(pos).astype(np.int64)
-    ok = (np.abs(pos - idx) <= cfg.proximity_window) & (idx >= 0) & (idx < width)
+    near = np.rint(pos)
+    idx = near.astype(np.int64) + anchor_slots[:, None]
+    ok = (np.abs(pos - near) <= cfg.proximity_window) & (idx >= 0) & (idx < width)
     grid_slots = np.zeros((anchors.size, width), dtype=bool)
     rows = np.broadcast_to(np.arange(anchors.size)[:, None], idx.shape)
     grid_slots[rows[ok], idx[ok]] = True

@@ -364,6 +364,12 @@ def test_robust_max_is_the_numpy_percentile_bit_for_bit(n, dtype):
         assert np.array_equal(x, before)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -250e6])
+def test_trace_rejects_a_sample_rate_that_is_not_finite_and_positive(rate):
+    with pytest.raises(ValueError, match="sample rate must be finite and > 0"):
+        channel.EmanationTrace(np.zeros(8), rate)
+
+
 def test_inject_glitch_on_a_trace_with_no_samples_adds_nothing():
     empty = channel.EmanationTrace(np.zeros(0, dtype=np.float32), FS)
     assert _robust_max(empty.samples) == 0.0

@@ -461,6 +461,26 @@ def test_trace_with_malformed_preset_is_a_data_error(tmp_path, capsys):
     assert "Traceback" not in stderr and not stdout
 
 
+@pytest.mark.parametrize("case", ["nan-sample", "rate-zero"])
+def test_unreadable_trace_samples_or_rate_are_a_data_error(tmp_path, capsys, case):
+    import emanakey
+    from emanakey.traceio import _TRACE_HEADER
+
+    trace = emanakey.EmanationTrace(samples=np.ones(64, dtype=np.float32), sample_rate=250e6)
+    path = tmp_path / "a.emtr"
+    emanakey.write_trace(trace, path)
+    raw = bytearray(path.read_bytes())
+    if case == "nan-sample":
+        raw[_TRACE_HEADER.size : _TRACE_HEADER.size + 4] = np.array([np.nan], "<f4").tobytes()
+    else:
+        raw[6:14] = (0).to_bytes(8, "little")  # the header's sample rate
+    path.write_bytes(raw)
+    rc, stdout, stderr = run(["detect", "--trace", str(path)], capsys)
+    assert rc == 3
+    assert stderr.startswith("error: ") and str(path) in stderr
+    assert "Traceback" not in stderr and not stdout
+
+
 def _emrf(bit_rate, entries):
     """EMRF bytes for (key index, slots) entries, laid out as the writer does."""
     from emanakey.traceio import _REF_ENTRY, _REF_HEADER

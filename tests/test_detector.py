@@ -36,7 +36,6 @@ from emanakey.detector import (
     DEFAULT_CONFIG,
     FILTER_TAPS,
     FLOOR,
-    _anchor_grids,
     _band_envelope,
     _grid_slots,
     _normalize,
@@ -302,9 +301,8 @@ def test_no_peak_pair_violates_separation_on_detection(refs):
 def grid_slots(peaks, ref):
     """Slots of the one grid that puts slot 0 at the first peak."""
     return _grid_slots(
-        peaks[None, :], peaks[None, :1], np.array([0]), ref.bit_width, len(ref),
-        CFG.proximity_window,
-    )[0][0, 0]
+        peaks[None, :], peaks[None, :1], 0, ref.bit_width, len(ref), CFG.proximity_window
+    )[0, 0]
 
 
 def make_ref(n=20):
@@ -889,47 +887,42 @@ def test_offset_search_must_stay_below_the_slot_width(refs):
 @pytest.mark.parametrize(
     "sample_rate, proximity", [(250e6, 1 / 3), (72e6, 1 / 3), (60e6, 0.4), (48e6, 0.5)]
 )
-def test_wide_grid_shifted_by_whole_slots_is_each_offsets_grid_unless_unsure(
+def test_grid_at_each_anchor_slot_is_the_wide_grid_shifted_by_whole_slots(
     sample_rate, proximity
 ):
     # A peak lies a multiple of 1/6 slot from an anchor at 72 MS/s, of 0.2
-    # at 60 MS/s and of 0.25 at 48 MS/s, so positions sit on the proximity
-    # edge or on a half slot, where p + k can round unlike p: there the
-    # unsure flag must be up. At 250 MS/s (0.048 slot) none comes close.
+    # at 60 MS/s and of 0.25 at 48 MS/s: on the proximity edge or on a half
+    # slot, where rounding p + k can place a peak unlike rounding p. The
+    # grid rule rounds p alone, so every anchor slot places the same peaks.
     rng = np.random.default_rng(int(sample_rate))
     bit, search, width = 1 / 12e6, 2, 121
-    anchor_peaks, anchor_slots = _anchor_grids(search)
-    unsure_chunks = 0
     for _ in range(40):
         # Two rows, the second NaN-padded like a row with fewer peaks.
         samples = rng.choice(np.arange(10, 3000), size=(2, 100), replace=False)
         peaks = np.sort(samples, axis=1) / sample_rate
         peaks[1, 60:] = np.nan
-        wide, unsure = _grid_slots(
-            peaks, peaks[:, :ANCHOR_CANDIDATES], np.full(ANCHOR_CANDIDATES, search), bit,
-            width + 2 * search, proximity,
-        )
-        grids, _ = _grid_slots(
-            peaks, peaks[:, anchor_peaks], anchor_slots, bit, width, proximity
-        )
-        unsure_chunks += unsure
-        if not unsure:
-            for g, (a, s) in enumerate(zip(anchor_peaks, anchor_slots)):
-                shifted = wide[:, a, search - s : search - s + width]
-                assert np.array_equal(shifted, grids[:, g]), (a, s)
-    assert (unsure_chunks > 0) == (sample_rate != 250e6)
+        anchors = peaks[:, :ANCHOR_CANDIDATES]
+        wide = _grid_slots(peaks, anchors, search, bit, width + 2 * search, proximity)
+        for k in range(-search, search + 1):
+            grid = _grid_slots(peaks, anchors, k, bit, width, proximity)
+            assert np.array_equal(grid, wide[:, :, search - k : search - k + width]), k
 
 
-def test_chunk_scored_grid_by_grid_equals_oracle(refs):
-    # At 60 MS/s with a 0.4-slot proximity window, whole-slot shifts of
-    # these rows' wide grids differ from their per-offset grids, and the
-    # difference reaches the result.
-    cfg = DetectorConfig(proximity_window=0.4)
-    traces = synth_dataset(
-        [KEYS[i] for i in (13, 25, 44, 55)], get_preset("open-space-3.8m"),
-        repeats=1, master_seed=7, sample_rate=60e6,
-    )
-    _assert_batch_equals_oracle(traces, refs, cfg)
+def test_windows_whose_edge_falls_on_the_sample_grid_equal_oracle(refs):
+    # Each setting puts peaks exactly on the proximity edge: spacings are
+    # multiples of 0.2 slot at 60 MS/s, 0.3 at 40 MS/s and 0.25 at 48 MS/s.
+    # There a grid built by rounding p + k differs from the shifted one, and
+    # the difference reaches these rows' results (key 27 at 40 MS/s).
+    for rate, window, preset, seed, keys in (
+        (60e6, 0.4, "open-space-3.8m", 7, (13, 25, 44, 55)),
+        (40e6, 0.4, "open-space-3m", 3, (27, 35, 54, 57)),
+        (48e6, 0.5, "open-space-3.8m", 2, (11, 23, 27, 49)),
+    ):
+        traces = synth_dataset(
+            [KEYS[i] for i in keys], get_preset(preset), repeats=1,
+            master_seed=seed, sample_rate=rate,
+        )
+        _assert_batch_equals_oracle(traces, refs, DetectorConfig(proximity_window=window))
 
 
 # --- chunk workers ------------------------------------------------------------
@@ -1042,37 +1035,27 @@ def test_forked_child_detects_after_the_parent_used_the_pool(refs, chunk_workers
     assert got == parent
 
 
-def _chunk_grids(traces, refs, cfg=CFG):
-    """One chunk's wide slot vectors and per-offset grids, from its real peaks."""
+def _chunk_wide_grids(traces, refs, cfg=CFG):
+    """One chunk's wide slot vectors, from its real peaks."""
     n, rate = traces[0].samples.size, traces[0].sample_rate
     block, scratch = _band_envelope([t.samples for t in traces], rate, cfg)
     _normalize(block[:, :n], cfg, scratch)
     peaks, _ = _peak_rows(block, n, rate, refs.bit_width, cfg)
     search, width = cfg.offset_search, refs.slot_matrix.shape[1]
-    anchors = peaks[:, :ANCHOR_CANDIDATES]
-    wide, _ = _grid_slots(
-        peaks, anchors, np.array([search]), refs.bit_width, width + 2 * search,
+    return _grid_slots(
+        peaks, peaks[:, :ANCHOR_CANDIDATES], search, refs.bit_width, width + 2 * search,
         cfg.proximity_window,
     )
-    anchor_peaks, anchor_slots = _anchor_grids(search)
-    grids, _ = _grid_slots(
-        peaks, anchors[:, anchor_peaks], anchor_slots, refs.bit_width, width,
-        cfg.proximity_window,
-    )
-    return wide, grids
 
 
 def test_stacked_matmul_counts_equal_the_flat_matmul(refs):
     # A full chunk's flat GEMM is large enough for BLAS to split it over
     # threads; per-row GEMMs are not. The counts must agree either way.
     traces = [t for t in _mixed_length_dataset(43) if t.samples.size == 3000]
-    wide, grids = _chunk_grids(traces[:_CHUNK_ROWS], refs)
+    wide = _chunk_wide_grids(traces[:_CHUNK_ROWS], refs)
     table = refs.shift_table(CFG.offset_search)
     stacked = wide @ table
     flat = wide.reshape(-1, wide.shape[-1]) @ table
     assert stacked.dtype == np.float32
-    assert np.array_equal(stacked.reshape(flat.shape), flat)
-    stacked = grids @ refs.mismatch_weights
-    flat = grids.reshape(-1, grids.shape[-1]) @ refs.mismatch_weights
     assert np.array_equal(stacked.reshape(flat.shape), flat)
     assert np.array_equal(stacked, np.rint(stacked))

@@ -115,6 +115,29 @@ def test_trace_file_non_integer_stream_metadata_is_format_error(tmp_path, key, v
         read_trace(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trace_file_with_a_non_finite_sample_is_format_error(tmp_path, bad):
+    path = tmp_path / "t.emtr"
+    write_trace(make_trace(n=16), path)
+    raw = bytearray(path.read_bytes())
+    raw[_TRACE_HEADER.size + 4 * 5 : _TRACE_HEADER.size + 4 * 6] = (
+        np.array([bad], dtype="<f4").tobytes()
+    )
+    path.write_bytes(raw)
+    with pytest.raises(FileFormatError, match=f"{re.escape(str(path))}: .*finite"):
+        read_trace(path)
+
+
+def test_trace_file_with_rate_zero_is_format_error(tmp_path):
+    path = tmp_path / "t.emtr"
+    write_trace(make_trace(n=16), path)
+    raw = bytearray(path.read_bytes())
+    raw[6:14] = (0).to_bytes(8, "little")
+    path.write_bytes(raw)
+    with pytest.raises(FileFormatError, match=f"{re.escape(str(path))}: sample rate"):
+        read_trace(path)
+
+
 def test_trace_bad_magic(tmp_path):
     path = tmp_path / "x.emtr"
     write_trace(make_trace(), path)
@@ -214,6 +237,31 @@ def test_import_csv_reports_line_number(tmp_path):
         import_csv(path, sample_rate=1e6)
     assert err.value.line_number == 7
     assert "line 7" in str(err.value)
+
+
+@pytest.mark.parametrize("row", ["nan", "inf", "-Infinity", "1e39"])
+def test_import_csv_non_finite_row_reports_line_number(tmp_path, row):
+    # 1e39 is finite as a float64 but overflows the float32 sample.
+    path = tmp_path / "w.csv"
+    path.write_text(f"volts\n1.0\n2.0\n{row}\n3.0\n")
+    with pytest.raises(CsvParseError, match=f"non-finite row '{row}' at line 4") as err:
+        import_csv(path, sample_rate=1e6)
+    assert err.value.line_number == 4
+
+
+def test_import_csv_keeps_the_largest_float32(tmp_path):
+    path = tmp_path / "w.csv"
+    top = float(np.finfo(np.float32).max)
+    path.write_text(f"{top!r}\n{-top!r}\n")
+    assert import_csv(path, sample_rate=1e6).samples.tolist() == [top, -top]
+
+
+@pytest.mark.parametrize("rate", [np.nan, 0.0])
+def test_import_csv_rejects_a_sample_rate_that_is_not_finite_and_positive(tmp_path, rate):
+    path = tmp_path / "w.csv"
+    path.write_text("0.0\n1.0\n")
+    with pytest.raises(ValueError, match="sample rate"):
+        import_csv(path, sample_rate=rate)
 
 
 # --- reference files --------------------------------------------------------
