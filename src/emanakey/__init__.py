@@ -31,6 +31,7 @@ from .crc import crc5, crc16
 from .detector import (
     DEFAULT_CONFIG,
     DetectionResult,
+    Detections,
     DetectorConfig,
     detect,
     detect_batch,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -155,6 +155,11 @@ class ChannelPreset:
         d["glitch_amp"] = list(self.glitch_amp)
         return d
 
+    @functools.cached_property
+    def json_text(self) -> str:
+        """to_dict() as JSON with sorted keys, made once: trace files embed it."""
+        return json.dumps(self.to_dict(), sort_keys=True)
+
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelPreset":
         d = dict(d)
@@ -177,7 +182,7 @@ class EmanationTrace:
 
     def __post_init__(self):
         samples = np.ascontiguousarray(self.samples, dtype=np.float32)
-        if not np.all(np.isfinite(samples)):
+        if not np.isfinite(samples).all():
             raise ValueError("trace samples must be finite")
         if not 0 < self.sample_rate < math.inf:  # NaN compares false
             raise ValueError(f"sample rate must be finite and > 0, got {self.sample_rate!r}")
@@ -271,16 +276,34 @@ COMB_TONES = 16
 
 
 @functools.lru_cache(maxsize=16)
-def _tone_table(
-    freqs: tuple[float, ...], n: int, sample_rate: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only cos(2*pi*f*t) and sin(2*pi*f*t), one row per frequency."""
+def _interference_plan(
+    interferer: Interferer, n: int, sample_rate: float
+) -> tuple[int, np.ndarray, float, np.ndarray, np.ndarray] | None:
+    """What every n-sample trace of one interferer shares, built once.
+
+    The number of phases to draw, the mask of the tones below the Nyquist
+    guard, the per-tone amplitude, and the kept tones' read-only
+    cos(2*pi*f*t) and sin(2*pi*f*t), one row per tone. None for a tone at
+    or above the guard, which draws no phase.
+    """
+    nyquist_guard = 0.48 * sample_rate
+    if interferer.bandwidth_hz <= 0:
+        if interferer.center_hz >= nyquist_guard:
+            return None
+        freqs = np.array([interferer.center_hz])
+    else:
+        freqs = np.linspace(
+            interferer.center_hz - interferer.bandwidth_hz / 2,
+            interferer.center_hz + interferer.bandwidth_hz / 2,
+            COMB_TONES,
+        )
+    keep = freqs < nyquist_guard
     t = np.arange(n) / sample_rate
-    arg = 2 * np.pi * np.asarray(freqs, dtype=np.float64)[:, None] * t
+    arg = 2 * np.pi * freqs[keep][:, None] * t
     cos_t, sin_t = np.cos(arg), np.sin(arg)
     cos_t.flags.writeable = False
     sin_t.flags.writeable = False
-    return cos_t, sin_t
+    return freqs.size, keep, math.sqrt(2.0 * interferer.power / freqs.size), cos_t, sin_t
 
 
 def _interference(
@@ -291,26 +314,16 @@ def _interference(
     A tone at or above the Nyquist guard draws no phase; a comb draws all
     16 and drops the tones above the guard. Each tone is
     cos(wt + phase) = cos(wt) cos(phase) - sin(wt) sin(phase), so a trace
-    costs one product with the interferer's cached tables. A single kept
-    tone is one product per sample, which is what the matvec computes,
-    without the cost of a BLAS call.
+    costs its phase draw and one product with the interferer's planned
+    tables. A single kept tone is one product per sample, which is what
+    the matvec computes, without the cost of a BLAS call.
     """
-    nyquist_guard = 0.48 * sample_rate
-    if interferer.bandwidth_hz <= 0:
-        if interferer.center_hz >= nyquist_guard:
-            return np.zeros(n)
-        freqs = np.array([interferer.center_hz])
-    else:
-        freqs = np.linspace(
-            interferer.center_hz - interferer.bandwidth_hz / 2,
-            interferer.center_hz + interferer.bandwidth_hz / 2,
-            COMB_TONES,
-        )
-    phases = rng.uniform(0, 2 * np.pi, freqs.size)
-    amp = math.sqrt(2.0 * interferer.power / freqs.size)
-    keep = freqs < nyquist_guard
-    cos_t, sin_t = _tone_table(tuple(freqs[keep].tolist()), n, sample_rate)
-    a, b = amp * np.cos(phases[keep]), amp * np.sin(phases[keep])
+    plan = _interference_plan(interferer, n, sample_rate)
+    if plan is None:
+        return np.zeros(n)
+    tones, keep, amp, cos_t, sin_t = plan
+    phases = rng.uniform(0, 2 * np.pi, tones)[keep]
+    a, b = amp * np.cos(phases), amp * np.sin(phases)
     if a.size == 1:
         return a[0] * cos_t[0] - b[0] * sin_t[0]
     return a @ cos_t - b @ sin_t
@@ -350,6 +363,8 @@ def _robust_max(x: np.ndarray) -> float:
 
 
 _Glitches = tuple[np.ndarray, np.ndarray, np.ndarray]
+_SIGNS = np.array([-1.0, 1.0])
+_SIGNS.flags.writeable = False
 
 
 def _draw_glitches(
@@ -366,7 +381,9 @@ def _draw_glitches(
     else:
         idx = np.clip(np.rint(np.asarray(times) * sample_rate).astype(int), 1, n - 2)
     factors = rng.uniform(amp_range[0], amp_range[1], size=count)
-    signs = rng.choice([-1.0, 1.0], size=count)
+    # The stream and values of rng.choice([-1.0, 1.0], size=count), without
+    # its argument checks.
+    signs = _SIGNS[rng.integers(0, 2, size=count)]
     return idx, factors, signs
 
 
@@ -519,7 +536,14 @@ def inject_glitch(
         base_amplitude if base_amplitude is not None else _robust_max(trace.samples),
         trace.sample_rate,
     )
-    return replace(trace, samples=samples)
+    return EmanationTrace(
+        samples=samples,
+        sample_rate=trace.sample_rate,
+        ground_truth=trace.ground_truth,
+        preset=trace.preset,
+        seed=trace.seed,
+        repeat=trace.repeat,
+    )
 
 
 def synth_datasets(

@@ -21,11 +21,13 @@ the bits a lone trace gets. Each stage runs once per chunk of rows: one
 FFT pair for the envelope, one local-maxima pass over all rows (NaN
 between rows keeps peaks apart), and one stacked matmul that scores every
 anchor at every offset, since an anchor's offsets are one slot vector
-shifted by whole slots. A call with more than one chunk runs them on a
-pool of worker threads, one per CPU the process may use, built on the
-first such call; a call with one chunk, such as detect, runs it on the
-calling thread. The heavy steps (FFT, partition, BLAS) release the
-interpreter lock.
+shifted by whole slots. A batch's results are one Detections record of
+per-trace columns; indexing it builds a trace's DetectionResult or
+NoSignalError, and no per-trace object is made until then. A call with
+more than one chunk runs them on a pool of worker threads, one per CPU
+the process may use, built on the first such call; a call with one
+chunk, such as detect, runs it on the calling thread. The heavy steps
+(FFT, partition, BLAS) release the interpreter lock.
 
 The filter design, FFT size and peak finder come from emanakey.dsp, numpy
 ports of the SciPy routines that give the same bits; the package imports
@@ -40,7 +42,7 @@ import os
 import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -163,6 +165,111 @@ class DetectionResult:
         return self.score - self.runner_up_score
 
 
+# No-signal reasons, indexed by Detections.reason; 0 is a detection.
+_NO_SIGNAL = (
+    None,
+    "empty trace cannot be normalized",
+    "all-zero trace cannot be normalized",
+    "no peaks above the amplitude floor",
+    "only {peaks} peaks detected (< {min_peaks}); trace carries no usable signal",
+)
+_EMPTY, _ALL_ZERO, _NO_PEAKS, _FEW_PEAKS = range(1, len(_NO_SIGNAL))
+
+
+def _no_signal_columns(rows: int, width: int) -> dict[str, np.ndarray]:
+    """Detections columns of ``rows`` traces with no signal, reason not yet set."""
+    return {
+        "key": np.full(rows, -1),
+        "score": np.zeros(rows),
+        "runner_up": np.full(rows, -1),
+        "runner_up_score": np.zeros(rows),
+        "anchor": np.zeros(rows),
+        "offset": np.zeros(rows, dtype=int),
+        "tie": np.zeros(rows, dtype=bool),
+        "reason": np.zeros(rows, dtype=int),
+        "peaks": np.zeros(rows, dtype=int),
+        "slots": np.zeros((rows, width), dtype=np.uint8),
+    }
+
+
+_COLUMNS = tuple(_no_signal_columns(0, 0))  # Detections' per-trace columns
+
+
+@dataclass(eq=False)
+class Detections(Sequence):
+    """detect_batch's results as columns, one row per trace.
+
+    ``key`` and ``runner_up`` are positions in refs.keys_in_order(), the
+    references the rows were matched against. A row with no usable signal
+    has a nonzero ``reason``, key and runner-up -1 and zero scores, so it
+    counts as wrong with zero score and margin. ``slots`` holds the
+    winner's 0/1 slot vector, zero-padded to the longest reference. Item i
+    is the row's DetectionResult or NoSignalError, built on access; a
+    slice is a record. A record equals a sequence of equal items, where two
+    NoSignalErrors are equal when their messages are.
+    """
+
+    refs: ReferenceSet = field(repr=False)
+    min_peaks: int
+    key: np.ndarray
+    score: np.ndarray
+    runner_up: np.ndarray
+    runner_up_score: np.ndarray
+    anchor: np.ndarray  # time (s) of the peak that anchors the winner's grid
+    offset: np.ndarray  # the grid's slot at the anchor: its alignment offset
+    tie: np.ndarray
+    reason: np.ndarray  # 0, or the index of the row's _NO_SIGNAL message
+    peaks: np.ndarray  # peaks detected
+    slots: np.ndarray  # (rows, max slots) uint8
+
+    @property
+    def margin(self) -> np.ndarray:
+        return self.score - self.runner_up_score
+
+    def __len__(self) -> int:
+        return self.key.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return replace(self, **{name: getattr(self, name)[i] for name in _COLUMNS})
+        reason = self.reason[i]
+        if reason:
+            return NoSignalError(_NO_SIGNAL[reason].format(
+                peaks=self.peaks[i], min_peaks=self.min_peaks
+            ))
+        keys, w, r = self.refs.keys_in_order(), int(self.key[i]), int(self.runner_up[i])
+        offset = int(self.offset[i])
+        return DetectionResult(
+            key=keys[w],
+            score=float(self.score[i]),
+            runner_up=keys[r],
+            runner_up_score=float(self.runner_up_score[i]),
+            detected_edges=EdgeSeries(
+                slots=self.slots[i, : self.refs.lengths[w]],
+                bit_width=self.refs.bit_width,
+                origin=float(self.anchor[i]) - offset * self.refs.bit_width,
+            ),
+            alignment_offset=offset,
+            tie=bool(self.tie[i]),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(_same_outcome, self, other))
+
+    __hash__ = None
+
+
+def _same_outcome(a, b) -> bool:
+    if isinstance(a, NoSignalError):
+        return type(a) is type(b) and a.args == b.args
+    return a == b
+
+
 @lru_cache(maxsize=8)
 def _bandpass_taps(sample_rate: float, band_low: float, band_high: float) -> np.ndarray:
     # Gaussian-cored magnitude response with -3 dB points at the band
@@ -280,11 +387,12 @@ def _band_envelope(
 def _normalize(
     x: np.ndarray, cfg: DetectorConfig, scratch: np.ndarray | None = None
 ) -> np.ndarray:
-    """normalize() along the last axis, in place; returns the rows with no scale.
+    """normalize() along the last axis, in place, but for its lower clip.
 
-    Rows with no scale (all-zero or empty) become zeros instead of raising.
-    ``scratch``, shaped like x, takes the partitioned |x|; by default a
-    fresh array does.
+    The chunk path runs it on envelopes, which are >= 0 and need none.
+    Returns the rows with no scale (all-zero or empty), which become zeros
+    instead of raising. ``scratch``, shaped like x, takes the partitioned
+    |x|; by default a fresh array does.
     """
     if x.shape[-1] == 0:
         return np.ones(x.shape[:-1], dtype=bool)
@@ -293,8 +401,7 @@ def _normalize(
     )
     dead = s_max <= 0.0
     x *= np.divide(AMPLITUDE, s_max, out=np.zeros_like(s_max), where=~dead)
-    np.minimum(x, AMPLITUDE, out=x)  # np.clip's bits, without its call overhead
-    np.maximum(x, -AMPLITUDE, out=x)
+    np.minimum(x, AMPLITUDE, out=x)
     return dead[..., 0]
 
 
@@ -309,7 +416,8 @@ def normalize(
     normalized = np.array(samples, dtype=np.float64)
     if _normalize(normalized, cfg).any():
         raise DegenerateTraceError("all-zero or empty trace cannot be normalized")
-    return normalized
+    # np.clip's bits, without its call overhead.
+    return np.maximum(normalized, -AMPLITUDE, out=normalized)
 
 
 def _peak_rows(
@@ -343,7 +451,10 @@ def _peak_rows(
     close = maxima[1:] - maxima[:-1] < min_sep
     if np.count_nonzero(close):
         close &= row_of[1:] == row_of[:-1]
-        for row in np.unique(row_of[1:][close]).tolist():
+        # The rows are sorted, so each distinct one starts a run of equal
+        # values; np.unique would import numpy.ma on its first call.
+        rows = row_of[1:][close]
+        for row in rows[np.diff(rows, prepend=-1) != 0].tolist():
             lo, hi = np.searchsorted(row_of, (row, row + 1))
             cols = col[lo:hi]
             kept = cols[keep_by_distance(cols, y[row, cols], min_sep)]
@@ -424,7 +535,7 @@ def _agreement(mismatches: np.ndarray, refs: ReferenceSet) -> np.ndarray:
 
 def _match_peaks(
     peaks: np.ndarray, refs: ReferenceSet, bit: float, cfg: DetectorConfig
-) -> list[DetectionResult]:
+) -> dict[str, np.ndarray]:
     """Best (anchor, offset) grid per key for each row of NaN-padded peak times.
 
     The first ANCHOR_CANDIDATES peaks of a row are tried as grid anchors,
@@ -434,10 +545,9 @@ def _match_peaks(
     -offset_search to width + offset_search - 1, shifted by whole slots:
     each anchor places the row's peaks once, and one matmul with the
     references' shift table scores every offset. Ties resolve to the
-    lowest key index and are flagged.
+    lowest key index and are flagged. Returns the rows' Detections
+    columns but reason and peaks.
     """
-    keys = refs.keys_in_order()
-    lengths = refs.lengths
     width = refs.slot_matrix.shape[1]
     search = cfg.offset_search
     n_offsets = 2 * search + 1
@@ -450,41 +560,36 @@ def _match_peaks(
     # One small GEMM per row, not one per chunk: each stays below the size
     # at which OpenBLAS spreads a call over threads of its own, which would
     # compete with the chunk workers. The counts are exact either way.
-    mismatches = (wide @ refs.shift_table(search)).reshape(len(peaks), -1, len(keys))
+    mismatches = (wide @ refs.shift_table(search)).reshape(len(peaks), -1, len(refs))
     if cfg.min_peaks < ANCHOR_CANDIDATES:
         # A row may lack an anchor; a grid anchored at a missing peak never wins.
         mismatches.reshape(len(peaks), ANCHOR_CANDIDATES, n_offsets, -1)[
             np.isnan(anchors)
         ] = np.inf
 
-    # Within one key the score falls as mismatches rise, so its first
-    # maximal grid is its first grid with the fewest mismatches.
-    best_grid = np.argmin(mismatches, axis=1)  # (rows, keys)
     best = _agreement(mismatches.min(axis=1), refs)
     winner = np.argmax(best, axis=1)  # ties -> lowest index
     score = best[rows, winner]
     best[rows, winner] = -np.inf
     runner = np.argmax(best, axis=1)
-    results = []
-    for row, (w, s, r, rs, g) in enumerate(zip(
-        winner.tolist(), score.tolist(), runner.tolist(),
-        best[rows, runner].tolist(), best_grid[rows, winner].tolist(),
-    )):
-        a, o = divmod(g, n_offsets)
-        offset = o - search
-        slots = wide[row, a, search - offset : search - offset + lengths[w]]
-        results.append(DetectionResult(
-            key=keys[w],
-            score=s,
-            runner_up=keys[r],
-            runner_up_score=rs,
-            detected_edges=EdgeSeries(
-                slots=slots, bit_width=bit, origin=float(anchors[row, a]) - offset * bit
-            ),
-            alignment_offset=offset,
-            tie=s == rs,
-        ))
-    return results
+    runner_score = best[rows, runner]
+    # Within one key the score falls as mismatches rise, so the winner's
+    # first maximal grid is its first grid with the fewest mismatches.
+    anchor, o = np.divmod(np.argmin(mismatches[rows, :, winner], axis=1), n_offsets)
+    offset = o - search
+    # The grid at this offset is the anchor's wide vector from slot
+    # search - offset on.
+    slots = (search - offset)[:, None] + np.arange(width)
+    return {
+        "key": winner,
+        "score": score,
+        "runner_up": runner,
+        "runner_up_score": runner_score,
+        "anchor": anchors[rows, anchor],
+        "offset": offset,
+        "tie": score == runner_score,
+        "slots": wide[rows[:, None], anchor[:, None], slots].astype(np.uint8),
+    }
 
 
 def _detect_rows(
@@ -492,41 +597,33 @@ def _detect_rows(
     sample_rate: float,
     refs: ReferenceSet,
     cfg: DetectorConfig,
-) -> list[DetectionResult | NoSignalError]:
+) -> dict[str, np.ndarray]:
     """detect_batch on one chunk of same-length rows sampled at one rate.
 
     The envelope is scaled, floored and searched for peaks in place, in
     this thread's workspace. Peak spacing and the slot grid both take the
-    bit width from the references.
+    bit width from the references. Returns the rows' Detections columns.
     """
     bit = refs.bit_width
     n = len(rows[0])
     block, scratch = _band_envelope(rows, sample_rate, cfg)
     dead = _normalize(block[:, :n], cfg, scratch)
     peaks, counts = _peak_rows(block, n, sample_rate, bit, cfg)
-    outcomes: list[DetectionResult | NoSignalError | None] = []
-    live: list[int] = []
-    for row, count in enumerate(counts.tolist()):
-        if dead[row]:
-            outcomes.append(NoSignalError(
-                f"{'empty' if n == 0 else 'all-zero'} trace cannot be normalized"
-            ))
-        elif count == 0:
-            outcomes.append(NoSignalError("no peaks above the amplitude floor"))
-        elif count < cfg.min_peaks:
-            outcomes.append(NoSignalError(
-                f"only {count} peaks detected (< {cfg.min_peaks}); "
-                "trace carries no usable signal"
-            ))
-        else:
-            outcomes.append(None)
-            live.append(row)
-    if live:
-        if len(live) < len(rows):
-            peaks = peaks[live]
-        for row, result in zip(live, _match_peaks(peaks, refs, bit, cfg)):
-            outcomes[row] = result
-    return outcomes
+    (live,) = np.nonzero(~dead & (counts >= max(cfg.min_peaks, 1)))
+    if live.size == len(rows):  # the usual chunk: the match gives every column
+        columns = _match_peaks(peaks, refs, bit, cfg)
+        columns["reason"] = np.zeros(len(rows), dtype=int)
+    else:
+        columns = _no_signal_columns(len(rows), refs.slot_matrix.shape[1])
+        if live.size:
+            for name, column in _match_peaks(peaks[live], refs, bit, cfg).items():
+                columns[name][live] = column
+        reason = columns["reason"]
+        reason[counts < cfg.min_peaks] = _FEW_PEAKS
+        reason[counts == 0] = _NO_PEAKS
+        reason[dead] = _ALL_ZERO if n else _EMPTY
+    columns["peaks"] = counts
+    return columns
 
 
 # Rows per chunk. Small chunks keep the complex FFT temporaries in cache
@@ -588,8 +685,8 @@ def detect_batch(
     traces: list[EmanationTrace],
     refs: ReferenceSet,
     cfg: DetectorConfig = DEFAULT_CONFIG,
-) -> list[DetectionResult | NoSignalError]:
-    """detect() for many traces: one result or NoSignalError per trace, in order.
+) -> Detections:
+    """detect() for many traces: one row per trace, in order.
 
     Traces are grouped by (length, sample rate), since both fix the FFT
     size, and each group is run in chunks of _CHUNK_ROWS rows: one
@@ -597,11 +694,12 @@ def detect_batch(
     local-maxima pass per chunk, and one matmul per row scoring its anchor
     grids against every reference. Chunks run on the worker pool when
     there are several; a lone trace takes the same path as a chunk of one
-    row, on the calling thread. A trace with no usable signal gets its
-    NoSignalError in its own slot and does not fail the batch. An error
-    that does, such as SampleRateError, is raised from the first failing
-    chunk in order. Raises ConfigError when cfg.offset_search is not below
-    the references' slot width.
+    row, on the calling thread. Each chunk returns its rows' columns and
+    the record gathers them, so no per-trace object is made. A trace with
+    no usable signal gets a no-signal row and does not fail the batch. An
+    error that does, such as SampleRateError, is raised from the first
+    failing chunk in order. Raises ConfigError when cfg.offset_search is
+    not below the references' slot width.
     """
     width = refs.slot_matrix.shape[1]
     if cfg.offset_search >= width:
@@ -618,15 +716,20 @@ def detect_batch(
         for start in range(0, len(members), _CHUNK_ROWS)
     ]
 
-    def run(chunk: tuple[list[int], float]) -> list[DetectionResult | NoSignalError]:
+    def run(chunk: tuple[list[int], float]) -> dict[str, np.ndarray]:
         members, sample_rate = chunk
         return _detect_rows([traces[i].samples for i in members], sample_rate, refs, cfg)
 
-    outcomes: list[DetectionResult | NoSignalError | None] = [None] * len(traces)
-    for (members, _), results in zip(chunks, _chunk_map(len(chunks))(run, chunks)):
-        for i, outcome in zip(members, results):
-            outcomes[i] = outcome
-    return outcomes
+    parts = list(_chunk_map(len(chunks))(run, chunks))
+    if len(parts) == 1:  # every trace, in order
+        (columns,) = parts
+    else:
+        columns = _no_signal_columns(len(traces), width)
+        for (members, _), part in zip(chunks, parts):
+            rows = np.array(members)
+            for name, column in part.items():
+                columns[name][rows] = column
+    return Detections(refs=refs, min_peaks=cfg.min_peaks, **columns)
 
 
 def detect(
@@ -639,7 +742,7 @@ def detect(
     One trace through detect_batch; raises NoSignalError when the trace
     carries no usable signal.
     """
-    (outcome,) = detect_batch([trace], refs, cfg)
+    outcome = detect_batch([trace], refs, cfg)[0]
     if isinstance(outcome, NoSignalError):
         raise outcome
     return outcome

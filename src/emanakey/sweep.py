@@ -22,7 +22,7 @@ from .channel import (
     synth_dataset,
     synth_datasets,
 )
-from .detector import DEFAULT_CONFIG, DetectorConfig, detect, detect_batch
+from .detector import DEFAULT_CONFIG, Detections, DetectorConfig, detect, detect_batch
 from .edges import ReferenceSet
 from .errors import NoSignalError
 from .keys import KEYS, KeyId
@@ -34,31 +34,35 @@ BENCH_PRESET = "open-space-3m"
 
 def _detect_each(
     datasets: list[list], refs: ReferenceSet, cfg: DetectorConfig
-) -> list[list]:
+) -> list[Detections]:
     """Every dataset's detections, from one detect_batch call over them all.
 
     One call gives the chunk workers the whole sweep to share out.
     """
-    results = iter(detect_batch([t for traces in datasets for t in traces], refs, cfg))
-    return [list(itertools.islice(results, len(traces))) for traces in datasets]
+    detections = detect_batch([t for traces in datasets for t in traces], refs, cfg)
+    ends = list(itertools.accumulate(len(traces) for traces in datasets))
+    return [detections[end - len(traces) : end] for end, traces in zip(ends, datasets)]
 
 
-def _rows(label: str, preset: ChannelPreset, traces, results) -> list[SweepRow]:
+def _rows(
+    label: str, preset: ChannelPreset, traces, detections: Detections
+) -> list[SweepRow]:
     """One row per key, in key order, from the traces and their detections."""
-    outcomes = [
-        (False, 0.0, 0.0) if isinstance(result, NoSignalError)
-        else (result.key == trace.ground_truth, result.score, result.margin)
-        for trace, result in zip(traces, results)
-    ]
-    correct, score, margin = (np.array(column) for column in zip(*outcomes))
-    # Each key's traces in their order within the list, keys in index order.
     index = np.array([trace.ground_truth.index for trace in traces])
+    # Each row's winning key index. A no-signal row's position -1 picks the
+    # appended -1, which no key has, and its scores are 0.
+    keys = detections.refs.keys_in_order()
+    winner = np.array([key.index for key in keys] + [-1])[detections.key]
+    correct = winner == index
+    score, margin = detections.score, detections.margin
+    # Each key's traces in their order within the list, keys in index order.
     order = np.argsort(index, kind="stable")
-    _, starts, counts = np.unique(index[order], return_index=True, return_counts=True)
+    starts = np.flatnonzero(np.diff(index[order], prepend=-1))
+    counts = np.diff(starts, append=index.size)
     rows: list[SweepRow | None] = [None] * len(starts)
     # One contiguous (keys, repeats) block per distinct trace count: the
     # mean of a row sums it pairwise, as np.mean of the key's list does.
-    for repeats in np.unique(counts).tolist():
+    for repeats in sorted(set(counts.tolist())):
         (which,) = np.nonzero(counts == repeats)
         block = order[starts[which, None] + np.arange(repeats)]
         means = zip(

@@ -49,12 +49,14 @@ _FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
 
 def write_trace(trace: EmanationTrace, path: str | Path) -> None:
     samples = np.ascontiguousarray(trace.samples, dtype="<f4")
-    meta = {
-        "ground_truth": trace.ground_truth.label if trace.ground_truth else None,
-        "preset": trace.preset.to_dict() if trace.preset else None,
-        "seed": trace.seed,
-        "repeat": trace.repeat,
-    }
+    label = trace.ground_truth.label if trace.ground_truth else None
+    preset = "null" if trace.preset is None else trace.preset.json_text
+    # The bytes json.dumps(meta, sort_keys=True) gives, with the preset's
+    # part made once per preset.
+    meta = (
+        f'{{"ground_truth": {json.dumps(label)}, "preset": {preset}, '
+        f'"repeat": {json.dumps(trace.repeat)}, "seed": {json.dumps(trace.seed)}}}'
+    )
     header = _TRACE_HEADER.pack(
         TRACE_MAGIC,
         TRACE_VERSION,
@@ -65,7 +67,7 @@ def write_trace(trace: EmanationTrace, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(samples.tobytes())
-        fh.write(json.dumps(meta, sort_keys=True).encode("utf-8"))
+        fh.write(meta.encode("utf-8"))
 
 
 def read_trace(path: str | Path) -> EmanationTrace:

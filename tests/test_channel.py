@@ -23,6 +23,7 @@ from emanakey import (
 from emanakey import channel
 from emanakey.channel import (
     KNEE_GAIN_DB,
+    _draw_glitches,
     _glitch_burst,
     _interference,
     _robust_max,
@@ -300,7 +301,8 @@ def test_synth_dataset_within_one_float32_step_of_per_tone_synthesis(name, monke
 
 
 def _matvec_interference(interferer, n, sample_rate, rng):
-    """_interference as one matvec per table, whatever the tone count."""
+    """_interference as one matvec per table, whatever the tone count, with
+    the tables built from the direct formula on every call."""
     guard = 0.48 * sample_rate
     if interferer.bandwidth_hz <= 0:
         if interferer.center_hz >= guard:
@@ -314,7 +316,8 @@ def _matvec_interference(interferer, n, sample_rate, rng):
     phases = rng.uniform(0, 2 * np.pi, freqs.size)
     amp = np.sqrt(2.0 * interferer.power / freqs.size)
     keep = freqs < guard
-    cos_t, sin_t = channel._tone_table(tuple(freqs[keep].tolist()), n, sample_rate)
+    arg = 2 * np.pi * freqs[keep][:, None] * (np.arange(n) / sample_rate)
+    cos_t, sin_t = np.cos(arg), np.sin(arg)
     return (amp * np.cos(phases[keep])) @ cos_t - (amp * np.sin(phases[keep])) @ sin_t
 
 
@@ -326,14 +329,31 @@ def test_single_tone_interference_is_the_matvec_bit_for_bit(rate):
     edge_comb = Interferer(guard - bw / 30 + bw / 2, bw, 2e-10)
     tone = Interferer(0.3 * rate, 0.0, 1e-9)
     interferers = [*_builtin_interferers(), edge_comb, tone]
+    # A tone, a comb and a tone above the guard, each from its cached plan.
+    assert any(i.bandwidth_hz <= 0 and i.center_hz >= guard for i in interferers)
+    assert any(i.bandwidth_hz > 0 for i in interferers)
     n = clean_waveform(KEYS[0], sample_rate=rate).size
     for interferer in interferers:
+        _interference(interferer, n, rate, np.random.default_rng(9))
         for seed in range(4):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = _interference(interferer, n, rate, rng)
             want = _matvec_interference(interferer, n, rate, ref_rng)
             assert np.array_equal(got, want)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_glitch_signs_are_rng_choice_bit_for_bit():
+    # The signs take the values and the stream that rng.choice takes.
+    for seed in range(3000):
+        count = seed % 23 + (seed % 7 == 0) * 200
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        idx, factors, signs = _draw_glitches(count, (2.5, 4.0), rng, None, 3000, FS)
+        assert np.array_equal(idx, ref.integers(1, 2999, size=count))
+        assert np.array_equal(factors, ref.uniform(2.5, 4.0, size=count))
+        assert np.array_equal(signs, ref.choice([-1.0, 1.0], size=count))
+        assert signs.dtype == np.float64
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("rate", [100e6, 250e6, 500e6])

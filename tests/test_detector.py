@@ -201,6 +201,16 @@ def test_normalize_skips_lone_spike():
     assert np.abs(out).max() <= 3.3 + 1e-12
 
 
+def test_normalize_clips_both_signs():
+    x = np.ones(1000)
+    x[200], x[700] = -1000.0, 1000.0  # one spike of each sign
+    x[300] = -0.5
+    out = normalize(x)
+    assert out[200] == -AMPLITUDE and out[700] == AMPLITUDE
+    assert out[300] == pytest.approx(-AMPLITUDE / 2)
+    assert out.min() == -AMPLITUDE and out.max() == AMPLITUDE
+
+
 def test_normalize_rejects_all_zero():
     with pytest.raises(DegenerateTraceError):
         normalize(np.zeros(100))
@@ -611,6 +621,108 @@ def test_detect_batch_row_with_fewer_peaks_than_anchors(refs, offset_search):
     got = detect_batch(traces, padded, cfg)
     assert got == [detect_oracle(t, padded, cfg) for t in traces]
     assert got[1].detected_edges.ones <= 2
+
+
+# --- the Detections record ---------------------------------------------------
+
+
+def _no_signal_traces():
+    """An all-zero trace, one whose only rise is at its end (no local maximum
+    above the floor), and a constant one (two peaks)."""
+    step = (np.arange(3000) > 2990).astype(float)
+    return [
+        EmanationTrace(samples=x, sample_rate=FS)
+        for x in (np.zeros(3000), step, np.ones(3000))
+    ]
+
+
+@pytest.mark.parametrize("name", available_presets())
+def test_every_field_of_every_row_equals_the_oracle(refs, name):
+    traces = []
+    for seed in (501, 502):
+        traces += synth_dataset(list(KEYS), get_preset(name), repeats=1, master_seed=seed)
+    traces += _no_signal_traces()
+    got = detect_batch(traces, refs)
+    assert len(got) == len(traces)
+    messages = []
+    for i, trace in enumerate(traces):
+        have = got[i]
+        try:
+            want = detect_oracle(trace, refs)
+        except NoSignalError as exc:
+            assert type(have) is NoSignalError and str(have) == str(exc), i
+            assert got.reason[i] > 0 and got.key[i] == got.runner_up[i] == -1
+            assert got.score[i] == got.runner_up_score[i] == got.margin[i] == 0.0
+            messages.append(str(exc))
+            continue
+        assert got.reason[i] == 0
+        assert have.key == want.key == refs.keys_in_order()[got.key[i]]
+        assert have.score == want.score == got.score[i]
+        assert have.runner_up == want.runner_up == refs.keys_in_order()[got.runner_up[i]]
+        assert have.runner_up_score == want.runner_up_score
+        assert have.margin == want.margin == got.margin[i]
+        assert have.alignment_offset == want.alignment_offset == got.offset[i]
+        assert have.tie is want.tie
+        edges, want_edges = have.detected_edges, want.detected_edges
+        assert edges.slots.tobytes() == want_edges.slots.tobytes()
+        assert edges.bit_width == want_edges.bit_width == refs.bit_width
+        assert edges.origin == want_edges.origin
+        assert edges.origin == got.anchor[i] - got.offset[i] * refs.bit_width
+        assert not got.slots[i, len(edges) :].any()
+    assert messages[-3:] == [
+        "all-zero trace cannot be normalized",
+        "no peaks above the amplitude floor",
+        "only 2 peaks detected (< 10); trace carries no usable signal",
+    ]
+
+
+def test_record_is_a_sequence_of_its_items(refs):
+    traces = synth_dataset(
+        list(KEYS[:6]), get_preset("open-space-3.8m"), repeats=1, master_seed=43
+    )
+    traces.insert(2, EmanationTrace(samples=np.zeros(0), sample_rate=FS))
+    traces += _no_signal_traces()
+    got = detect_batch(traces, refs)
+    items = list(got)
+    assert got == items and items == got
+    assert str(got[2]) == "empty trace cannot be normalized"
+    assert got[1:4] == items[1:4] and got[::2] == items[::2]
+    assert isinstance(got[1:4], type(got)) and len(got[3:]) == len(items) - 3
+    assert got != items[:-1] and got != items[::-1]
+    assert [r.key for r in got[:2]] == [detect(t, refs).key for t in traces[:2]]
+    with pytest.raises(IndexError):
+        got[len(traces)]
+
+
+def test_first_close_maxima_trace_imports_no_masked_arrays(refs):
+    # numpy's np.unique imports numpy.ma on its first call: 12-19 ms on
+    # the first trace whose distance rule runs.
+    import subprocess
+    import sys
+
+    import emanakey
+
+    trace = synth_dataset([KEYS[4]], get_preset("open-space-3.8m"), repeats=1, master_seed=3)
+    maxima = sp_signal.find_peaks(_floored_envelope(trace[0]))[0]
+    min_sep = round(CFG.min_peak_separation * refs.bit_width * FS)
+    assert (np.diff(maxima) < min_sep).any()
+    code = "\n".join([
+        "import sys",
+        "import emanakey",
+        "from emanakey import channel, detector, edges",
+        "from emanakey.keys import KEYS",
+        "refs = edges.build_reference_set()",
+        "trace = channel.synth_dataset([KEYS[4]], channel.get_preset('open-space-3.8m'),",
+        "                              repeats=1, master_seed=3)[0]",
+        "detector.detect(trace, refs)",
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(emanakey.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 # --- empty traces and the per-thread chunk workspace -------------------------

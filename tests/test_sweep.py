@@ -84,6 +84,33 @@ def test_row_means_are_numpy_means_of_each_keys_list(refs, repeats):
     assert sequential_differs
 
 
+def test_rows_compare_keys_not_reference_positions(refs):
+    # References for the odd keys alone: the winner's position among them
+    # is not its key index.
+    from emanakey.edges import ReferenceSet
+
+    odd = ReferenceSet(entries={k: s for k, s in refs.entries.items() if k.index % 2})
+    keys = [KEYS[1], KEYS[3], KEYS[9], KEYS[15]]
+    report = sweep.run_preset_sweep(
+        ["open-space-3.8m", "office-12m"], odd, repeats=3, keys=keys, master_seed=8
+    )
+    datasets = channel.synth_datasets(
+        keys, [channel.get_preset("open-space-3.8m"), channel.get_preset("office-12m")],
+        repeats=3, master_seed=8,
+    )
+    traces = [t for dataset in datasets for t in dataset]
+    correct = {}
+    for trace, result in zip(traces, detect_batch(traces, odd)):
+        ok = not isinstance(result, NoSignalError) and result.key == trace.ground_truth
+        label = (trace.preset.name, trace.ground_truth.label)
+        correct[label] = correct.get(label, 0) + ok
+    assert [(row.preset, row.key, row.correct) for row in report.rows] == [
+        (name, k.label, correct[name, k.label]) for name in ("open-space-3.8m", "office-12m")
+        for k in keys
+    ]
+    assert sum(correct.values()) > len(traces) // 2
+
+
 @pytest.mark.parametrize(
     "run",
     [

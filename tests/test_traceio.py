@@ -211,6 +211,50 @@ def test_trace_sample_payload_at_fixed_offset(tmp_path):
     assert np.array_equal(payload, trace.samples)
 
 
+# One seeded trace per builtin preset: SHA-256 of its EMTR file.
+EMTR_SHA256 = {
+    "building-9.4m": "0f1bf42eb6a06815d4043103ec96cfd7297da2cac2f0f7457ad0a6abbda08a65",
+    "identity": "b43fbbeeffa4cf4e4ff900cd8231ec9b8116c4ea5a1f57d9394ceee9bf88d0fe",
+    "office-12m": "97afdc6f8a6289353724e18da3808d9f35f619b2e199a9db010ed967b4fd9112",
+    "open-space-0.5m": "54c82305167b8cab1d34465c2d1f8dc360165c9eeedad935a9beac7ea0e1aeb3",
+    "open-space-2.5m": "ad4eb6471578a7f3e116949cb7dad95632b171d9ec442ee3c0acfee0ef0e73bf",
+    "open-space-3.8m": "98b39c7683d4d4f18e2485eb8280f14d22f0737c5f8901db0a01f237bda3d999",
+    "open-space-3m": "15c6353143444229b36066b50743d3d248c19384b055f5219330b6d58dcb2a1b",
+}
+
+
+def test_trace_file_bytes_are_pinned(tmp_path):
+    # The presets take turns, so a cached preset's metadata cannot leak
+    # into the next preset's file.
+    from emanakey import available_presets, synth_dataset
+
+    assert sorted(EMTR_SHA256) == available_presets()
+    for i, name in enumerate(available_presets()):
+        (trace,) = synth_dataset([KEYS[i * 9]], get_preset(name), repeats=1, master_seed=21)
+        path = tmp_path / f"{name}.emtr"
+        write_trace(trace, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == EMTR_SHA256[name], name
+
+
+def test_trace_metadata_is_the_sorted_json_of_its_fields(tmp_path):
+    # Equal presets may serialize differently (1 against 1.0): each file
+    # holds its own trace's preset.
+    base = get_preset("office-12m")
+    presets = [replace(base, gain_db=-75), replace(base, gain_db=-75.0), base, None]
+    for i, preset in enumerate(presets + presets[::-1]):
+        trace = replace(make_trace(n=8), preset=preset, repeat=i % 3 or None)
+        path = tmp_path / "t.emtr"
+        write_trace(trace, path)
+        meta = {
+            "ground_truth": trace.ground_truth.label,
+            "preset": preset.to_dict() if preset else None,
+            "seed": trace.seed,
+            "repeat": trace.repeat,
+        }
+        raw = path.read_bytes()
+        assert raw[_TRACE_HEADER.size + 8 * 4 :] == json.dumps(meta, sort_keys=True).encode()
+
+
 # --- CSV import -----------------------------------------------------------
 
 
