@@ -38,7 +38,6 @@ DEFAULT_PAD_S = 1e-6
 # ~97-98% over 70 keys x 10 repeats at the open-space noise floor.
 KNEE_DISTANCE_M = 3.8
 KNEE_GAIN_DB = -81.2
-OPEN_SPACE_NOISE_DENSITY = 4e-9  # V/sqrt(Hz), receiver-referred white floor
 
 
 @dataclass(frozen=True)
@@ -391,7 +390,8 @@ def _add_glitches(
     out: np.ndarray, glitches: _Glitches, base_amplitude: float, sample_rate: float
 ) -> None:
     """Add the drawn bursts, scaled by ``base_amplitude``, to the float64 ``out`` in place."""
-    for i, f, s in zip(*glitches):
+    # Python scalars give numpy scalars' bits, with less overhead per burst.
+    for i, f, s in zip(*(g.tolist() for g in glitches)):
         burst = _glitch_burst(s * f * base_amplitude, sample_rate)
         half = burst.size // 2
         lo = max(0, i - half)

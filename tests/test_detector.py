@@ -1046,11 +1046,15 @@ def chunk_workers(monkeypatch):
     so multi-chunk calls take the worker path on any host."""
     from emanakey import detector
 
+    def drop_pool():  # joins its threads, so none exits mid-test
+        if detector._pool.cache_info().currsize:
+            detector._pool().shutdown()
+        detector._pool.cache_clear()
+
     monkeypatch.setattr(detector, "_cpus", lambda: 4)
-    monkeypatch.setattr(detector, "_pool", None)
+    drop_pool()
     yield detector
-    if detector._pool is not None:
-        detector._pool.shutdown()
+    drop_pool()
 
 
 def _two_rate_dataset():
@@ -1090,36 +1094,46 @@ def test_sample_rate_error_from_one_group_propagates_from_the_workers(refs, chun
     for batch in (traces + [slow], [slow] + traces):
         with pytest.raises(SampleRateError):
             detect_batch(batch, refs)
-    assert chunk_workers._pool is not None
+    assert chunk_workers._pool.cache_info().currsize == 1
     # The pool still serves the next call.
     assert [_outcome(r) for r in detect_batch(traces, refs)] == [
         _outcome(detect_batch([t], refs)[0]) for t in traces
     ]
 
 
-def test_pool_is_built_only_for_a_call_with_several_chunks(refs, chunk_workers):
+def test_pool_is_built_only_for_a_call_with_several_chunks(
+    refs, chunk_workers, monkeypatch
+):
     same_length = [t for t in _mixed_length_dataset(40) if t.samples.size == 3000]
+    cpu_queries = []
+    monkeypatch.setattr(chunk_workers, "_cpus", lambda: cpu_queries.append(1) or 4)
     before = set(threading.enumerate())
     try:
         detect(same_length[0], refs)
     except NoSignalError:
         pass
     detect_batch(same_length[:_CHUNK_ROWS], refs)
-    assert chunk_workers._pool is None
+    assert chunk_workers._pool.cache_info().currsize == 0
     assert set(threading.enumerate()) == before
+    assert cpu_queries == []  # a one-chunk call does no work for the pool
     detect_batch(same_length[: _CHUNK_ROWS + 1], refs)
-    assert chunk_workers._pool is not None
+    assert chunk_workers._pool.cache_info().currsize == 1
 
 
 def test_one_cpu_runs_every_chunk_on_the_calling_thread(refs, chunk_workers, monkeypatch):
     monkeypatch.setattr(chunk_workers, "_cpus", lambda: 1)
     traces = _mixed_length_dataset(41)
+    before = set(threading.enumerate())
     got = [_outcome(r) for r in detect_batch(traces, refs)]
-    assert chunk_workers._pool is None
+    assert chunk_workers._pool.cache_info().currsize == 0
+    assert set(threading.enumerate()) == before
     assert got == [_oracle_outcome(t, refs) for t in traces]
 
 
 def _detect_in_child(traces, refs, conn):
+    from emanakey import detector
+
+    conn.send(detector._pool.cache_info().currsize)
     conn.send([_outcome(r) for r in detect_batch(traces, refs)])
     conn.close()
 
@@ -1130,12 +1144,14 @@ def test_forked_child_detects_after_the_parent_used_the_pool(refs, chunk_workers
     # its chunks to the parent's pool, where they would never run.
     traces = _mixed_length_dataset(42)
     parent = [_outcome(r) for r in detect_batch(traces, refs)]
-    assert chunk_workers._pool is not None
+    assert chunk_workers._pool.cache_info().currsize == 1
     ctx = multiprocessing.get_context("fork")
     reader, writer = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_detect_in_child, args=(traces, refs, writer))
     child.start()
     try:
+        assert reader.poll(30), "the forked child did not start"
+        cached = reader.recv()
         assert reader.poll(30), "the forked child's detect_batch did not finish"
         got = reader.recv()
     finally:
@@ -1144,6 +1160,7 @@ def test_forked_child_detects_after_the_parent_used_the_pool(refs, chunk_workers
             child.kill()
             child.join(timeout=10)
     assert not child.is_alive() and child.exitcode == 0
+    assert cached == 0
     assert got == parent
 
 

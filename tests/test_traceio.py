@@ -138,6 +138,24 @@ def test_trace_file_with_rate_zero_is_format_error(tmp_path):
         read_trace(path)
 
 
+# 1e6/3 would read back as 333,333 Hz, 0.4 as a rate of 0 that read_trace
+# rejects, and 2**65 does not fit the header's u64.
+@pytest.mark.parametrize("rate", [1e6 / 3, 0.4, 2.0**65])
+def test_trace_rate_the_header_cannot_hold_is_rejected(tmp_path, rate):
+    trace = replace(make_trace(n=16), sample_rate=rate)
+    path = tmp_path / "t.emtr"
+    with pytest.raises(ValueError, match=re.escape(repr(rate))):
+        write_trace(trace, path)
+    assert not path.exists()
+
+
+def test_trace_rate_at_the_header_limits_round_trips(tmp_path):
+    for rate in (1.0, 2.0**64 - 2.0**11):  # the largest float below 2**64
+        trace = replace(make_trace(n=16), sample_rate=rate)
+        write_trace(trace, tmp_path / "t.emtr")
+        assert read_trace(tmp_path / "t.emtr") == trace
+
+
 def test_trace_bad_magic(tmp_path):
     path = tmp_path / "x.emtr"
     write_trace(make_trace(), path)
@@ -415,6 +433,28 @@ def test_report_json_matches_csv(tmp_path):
     assert read_report(csv_path).rows == read_report(json_path).rows
     doc = json.loads(json_path.read_text())
     assert doc["accuracy_by_preset"]["p1"] == pytest.approx(0.95)
+
+
+_HEADER = ",".join(REPORT_COLUMNS)
+_ROW = "p1,-80.0,4e-09,a,10,10,0.9,0.1"
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("no-rows-key.json", '{"config": {}}'),
+        ("missing-column.json", json.dumps({"rows": [{"preset": "p1", "key": "a"}]})),
+        ("no-rows.json", '{"rows": []}'),
+        ("wrong-header.csv", _HEADER.replace("key", "label") + "\n" + _ROW + "\n"),
+        ("header-only.csv", _HEADER + "\n"),
+        ("empty.csv", ""),
+    ],
+)
+def test_malformed_report_is_format_error(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(FileFormatError, match=re.escape(str(path))):
+        read_report(path)
 
 
 def test_empty_report_rejected(tmp_path):
