@@ -181,6 +181,8 @@ class EmanationTrace:
 
     def __post_init__(self):
         samples = np.ascontiguousarray(self.samples, dtype=np.float32)
+        if samples.ndim != 1:
+            raise ValueError(f"trace samples must be 1-D, got shape {samples.shape}")
         if not np.isfinite(samples).all():
             raise ValueError("trace samples must be finite")
         if not 0 < self.sample_rate < math.inf:  # NaN compares false

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .bits import int_from_bits
-from .channel import PRESET_LIMITS, get_preset, synth_dataset
+from .channel import DEFAULT_SAMPLE_RATE, PRESET_LIMITS, get_preset, synth_dataset
 from .detector import DEFAULT_CONFIG, DetectorConfig, detect_batch
 from .edges import build_reference_set, edges_analytic, min_pairwise_distance
 from .errors import EmanakeyError, NoSignalError
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", required=True)
     p.add_argument("--repeats", type=_positive(int), default=2)
     p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--sample-rate", type=_sample_rate, default=250e6)
+    p.add_argument("--sample-rate", type=_sample_rate, default=DEFAULT_SAMPLE_RATE)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 

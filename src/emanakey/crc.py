@@ -24,19 +24,10 @@ CRC5_RESIDUAL = 0x06
 CRC16_RESIDUAL = 0xB001
 
 
-def _update5(crc: int, bits: Iterable[int]) -> int:
+def _update(crc: int, bits: Iterable[int], poly: int) -> int:
     for b in bits:
         if (crc ^ b) & 1:
-            crc = (crc >> 1) ^ _POLY5_REFLECTED
-        else:
-            crc >>= 1
-    return crc
-
-
-def _update16(crc: int, bits: Iterable[int]) -> int:
-    for b in bits:
-        if (crc ^ b) & 1:
-            crc = (crc >> 1) ^ _POLY16_REFLECTED
+            crc = (crc >> 1) ^ poly
         else:
             crc >>= 1
     return crc
@@ -46,7 +37,7 @@ def crc5(bits: Sequence[int]) -> int:
     """CRC5 of exactly 11 token bits, in wire order."""
     if len(bits) != 11:
         raise ValueError(f"token CRC covers exactly 11 bits, got {len(bits)}")
-    return _update5(0x1F, bits) ^ 0x1F
+    return _update(0x1F, bits, _POLY5_REFLECTED) ^ 0x1F
 
 
 def _build_table16() -> list[int]:
@@ -72,9 +63,9 @@ def crc16(payload: bytes) -> int:
 
 def crc5_residual(bits_with_crc: Sequence[int]) -> int:
     """Register state after re-dividing field+CRC; equals CRC5_RESIDUAL when intact."""
-    return _update5(0x1F, bits_with_crc)
+    return _update(0x1F, bits_with_crc, _POLY5_REFLECTED)
 
 
 def crc16_residual(bits_with_crc: Iterable[int]) -> int:
     """Register state after re-dividing payload+CRC; equals CRC16_RESIDUAL when intact."""
-    return _update16(0xFFFF, bits_with_crc)
+    return _update(0xFFFF, bits_with_crc, _POLY16_REFLECTED)

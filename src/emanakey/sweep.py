@@ -7,7 +7,6 @@ detections (no-signal) count as incorrect with zero score and margin.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import replace
 
@@ -22,7 +21,7 @@ from .channel import (
     synth_dataset,
     synth_datasets,
 )
-from .detector import DEFAULT_CONFIG, Detections, DetectorConfig, detect, detect_batch
+from .detector import DEFAULT_CONFIG, DetectorConfig, detect, detect_batch
 from .edges import ReferenceSet
 from .errors import NoSignalError
 from .keys import KEYS, KeyId
@@ -32,39 +31,39 @@ NOISE_BASE_PRESET = "open-space-3.8m"  # the accuracy knee
 BENCH_PRESET = "open-space-3m"
 
 
-def _detect_each(
-    datasets: list[list], refs: ReferenceSet, cfg: DetectorConfig
-) -> list[Detections]:
-    """Every dataset's detections, from one detect_batch call over them all.
+def _report(
+    kind: str, own: dict, datasets: list[tuple[str, ChannelPreset, list]],
+    refs: ReferenceSet, repeats: int, cfg: DetectorConfig, keys,
+    master_seed: int | None,
+) -> SweepReport:
+    """Detect every (label, preset, traces) dataset and report them all.
 
-    One call gives the chunk workers the whole sweep to share out.
+    One detect_batch call gives the chunk workers the whole sweep to share
+    out. Rows come one per (dataset, key), in dataset order with keys in
+    index order inside each; a dataset listed twice gets two row groups.
     """
-    detections = detect_batch([t for traces in datasets for t in traces], refs, cfg)
-    ends = list(itertools.accumulate(len(traces) for traces in datasets))
-    return [detections[end - len(traces) : end] for end, traces in zip(ends, datasets)]
-
-
-def _rows(
-    label: str, preset: ChannelPreset, traces, detections: Detections
-) -> list[SweepRow]:
-    """One row per key, in key order, from the traces and their detections."""
+    traces = [trace for _, _, dataset in datasets for trace in dataset]
+    detections = detect_batch(traces, refs, cfg)
+    dataset = np.repeat(np.arange(len(datasets)), [len(d) for _, _, d in datasets])
     index = np.array([trace.ground_truth.index for trace in traces])
-    # Each row's winning key index. A no-signal row's position -1 picks the
-    # appended -1, which no key has, and its scores are 0.
-    keys = detections.refs.keys_in_order()
-    winner = np.array([key.index for key in keys] + [-1])[detections.key]
+    # Each trace's winning key index. A no-signal trace's position -1 picks
+    # the appended -1, which no key has, and its scores are 0.
+    keys_in_order = detections.refs.keys_in_order()
+    winner = np.array([key.index for key in keys_in_order] + [-1])[detections.key]
     correct = winner == index
     score, margin = detections.score, detections.margin
-    # Each key's traces in their order within the list, keys in index order.
-    order = np.argsort(index, kind="stable")
-    starts = np.flatnonzero(np.diff(index[order], prepend=-1))
+    # Each (dataset, key)'s traces in their order within the list.
+    order = np.lexsort((index, dataset))
+    # A row starts wherever the dataset or the key changes.
+    ds, ix = dataset[order], index[order]
+    starts = np.flatnonzero((np.diff(ds, prepend=-1) != 0) | (np.diff(ix, prepend=-1) != 0))
     counts = np.diff(starts, append=index.size)
     rows: list[SweepRow | None] = [None] * len(starts)
-    # One contiguous (keys, repeats) block per distinct trace count: the
-    # mean of a row sums it pairwise, as np.mean of the key's list does.
-    for repeats in sorted(set(counts.tolist())):
-        (which,) = np.nonzero(counts == repeats)
-        block = order[starts[which, None] + np.arange(repeats)]
+    # One contiguous (rows, count) block per distinct trace count: the mean
+    # of a row sums it pairwise, as np.mean of the key's list does.
+    for count in sorted(set(counts.tolist())):
+        (which,) = np.nonzero(counts == count)
+        block = order[starts[which, None] + np.arange(count)]
         means = zip(
             which.tolist(),
             block[:, 0].tolist(),
@@ -73,24 +72,17 @@ def _rows(
             margin[block].mean(axis=1).tolist(),
         )
         for row, first, ok, mean_score, mean_margin in means:
+            label, preset, _ = datasets[dataset[first]]
             rows[row] = SweepRow(
                 preset=label,
                 gain_db=preset.gain_db,
                 noise_density=preset.noise_density,
                 key=traces[first].ground_truth.label,
-                repeats=repeats,
+                repeats=count,
                 correct=ok,
                 mean_score=mean_score,
                 mean_margin=mean_margin,
             )
-    return rows
-
-
-def _report(
-    kind: str, own: dict, rows: list[SweepRow], repeats: int, keys,
-    master_seed: int | None,
-) -> SweepReport:
-    """The config keys every sweep writes, around the kind's own keys."""
     config = {
         "sweep": kind,
         **own,
@@ -100,18 +92,6 @@ def _report(
         "master_seed": master_seed if master_seed is not None else "preset",
     }
     return SweepReport(rows, config=config)
-
-
-def _preset_report(
-    kind: str, own: dict, presets: list[ChannelPreset], refs: ReferenceSet,
-    repeats: int, cfg: DetectorConfig, keys, master_seed: int | None,
-) -> SweepReport:
-    """Synthesize one dataset per preset, sharing draws, and detect them all."""
-    datasets = synth_datasets(list(keys), presets, repeats=repeats, master_seed=master_seed)
-    rows: list[SweepRow] = []
-    for preset, traces, results in zip(presets, datasets, _detect_each(datasets, refs, cfg)):
-        rows.extend(_rows(preset.name, preset, traces, results))
-    return _report(kind, own, rows, repeats, keys, master_seed)
 
 
 def run_preset_sweep(
@@ -130,9 +110,11 @@ def run_preset_sweep(
     and differ only in signal scale.
     """
     presets = [get_preset(name) for name in preset_names]
-    return _preset_report(
+    datasets = synth_datasets(list(keys), presets, repeats=repeats, master_seed=master_seed)
+    return _report(
         "preset", {"presets": ",".join(preset_names)},
-        presets, refs, repeats, cfg, keys, master_seed,
+        [(preset.name, preset, traces) for preset, traces in zip(presets, datasets)],
+        refs, repeats, cfg, keys, master_seed,
     )
 
 
@@ -153,9 +135,11 @@ def run_noise_sweep(
         replace(base, noise_density=density, name=f"noise-{density:.3g}")
         for density in noise_densities
     ]
-    return _preset_report(
+    datasets = synth_datasets(list(keys), presets, repeats=repeats, master_seed=master_seed)
+    return _report(
         "noise", {"base_preset": NOISE_BASE_PRESET, "gain_db": base.gain_db},
-        presets, refs, repeats, cfg, keys, master_seed,
+        [(preset.name, preset, traces) for preset, traces in zip(presets, datasets)],
+        refs, repeats, cfg, keys, master_seed,
     )
 
 
@@ -182,32 +166,27 @@ def run_glitch_sweep(
     # inject_glitch copies the samples, so every count shares one dataset.
     traces = synth_dataset(list(keys), base, repeats=repeats, master_seed=master_seed)
     datasets = [
-        [
+        (f"glitch-{count}", base, [
             inject_glitch(
                 t, count, seed=(i * 7919 + count),
                 base_amplitude=signal_peak[t.ground_truth],
             )
             for i, t in enumerate(traces)
-        ]
+        ])
         for count in glitch_counts
     ]
-    rows: list[SweepRow] = []
-    for count, glitched, results in zip(
-        glitch_counts, datasets, _detect_each(datasets, refs, cfg)
-    ):
-        rows.extend(_rows(f"glitch-{count}", base, glitched, results))
     own = {
         "base_preset": base_preset,
         "counts": ",".join(str(c) for c in glitch_counts),
     }
-    return _report("glitch", own, rows, repeats, keys, master_seed)
+    return _report("glitch", own, datasets, refs, repeats, cfg, keys, master_seed)
 
 
 def bench_detect(
     refs: ReferenceSet,
     cfg: DetectorConfig = DEFAULT_CONFIG,
     iterations: int = 200,
-    sample_rate: float = 250e6,
+    sample_rate: float = DEFAULT_SAMPLE_RATE,
 ) -> dict:
     """Wall-clock per-detection latency on BENCH_PRESET traces, synthesis
     and I/O excluded.

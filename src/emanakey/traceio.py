@@ -153,12 +153,15 @@ def import_csv(path: str | Path, sample_rate: float) -> EmanationTrace:
 
 
 def write_reference_set(refs: ReferenceSet, path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(
-            _REF_HEADER.pack(
-                REF_MAGIC, REF_VERSION, int(round(refs.bit_rate)), len(refs)
-            )
+    # The header's u32 rate, from which the reader rebuilds the width as
+    # 1 / rate: a set is written only if that gives its width back exactly.
+    bit_rate = round(refs.bit_rate)
+    if not (1 <= bit_rate < 2**32 and 1.0 / bit_rate == refs.bit_width):
+        raise ValueError(
+            f"bit rate {refs.bit_rate!r} b/s is not a whole rate in [1, 2**32) b/s"
         )
+    with open(path, "wb") as fh:
+        fh.write(_REF_HEADER.pack(REF_MAGIC, REF_VERSION, bit_rate, len(refs)))
         for key in refs.keys_in_order():
             series = refs[key]
             fh.write(_REF_ENTRY.pack(key.index, len(series)))

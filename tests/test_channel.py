@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -388,6 +389,12 @@ def test_robust_max_is_the_numpy_percentile_bit_for_bit(n, dtype):
 def test_trace_rejects_a_sample_rate_that_is_not_finite_and_positive(rate):
     with pytest.raises(ValueError, match="sample rate must be finite and > 0"):
         channel.EmanationTrace(np.zeros(8), rate)
+
+
+@pytest.mark.parametrize("shape", [(2, 3000), (2, 3), (1, 8)])
+def test_trace_rejects_samples_that_are_not_one_dimensional(shape):
+    with pytest.raises(ValueError, match=re.escape(f"1-D, got shape {shape}")):
+        channel.EmanationTrace(np.zeros(shape), FS)
 
 
 def test_inject_glitch_on_a_trace_with_no_samples_adds_nothing():

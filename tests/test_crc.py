@@ -29,9 +29,9 @@ def test_crc5_frozen_values():
 def test_crc5_catalog_check_value():
     # Standard catalog check input "123456789", bit-serial over 72 bits.
     bits = bits_from_bytes(b"123456789")
-    from emanakey.crc import _update5
+    from emanakey.crc import _POLY5_REFLECTED, _update
 
-    assert (_update5(0x1F, bits) ^ 0x1F) == 0x19
+    assert (_update(0x1F, bits, _POLY5_REFLECTED) ^ 0x1F) == 0x19
 
 
 def test_crc16_catalog_check_value():

@@ -53,6 +53,42 @@ def test_ladder_sweep_draws_each_interferer_once_per_trace(refs, monkeypatch):
     assert len(calls) == per_trace * len(KEYS3) * 2
 
 
+@pytest.mark.parametrize(
+    "run, datasets",
+    [
+        (lambda refs: sweep.run_preset_sweep(
+            LADDER, refs, repeats=1, keys=KEYS3, master_seed=3), len(LADDER)),
+        (lambda refs: sweep.run_noise_sweep(
+            [2e-9, 2e-8], refs, repeats=1, keys=KEYS3, master_seed=3), 2),
+        (lambda refs: sweep.run_glitch_sweep(
+            [0, 4, 8], refs, repeats=1, keys=KEYS3, master_seed=3), 3),
+    ],
+)
+def test_each_sweep_detects_every_dataset_in_one_call(refs, monkeypatch, run, datasets):
+    calls = []
+    batch = sweep.detect_batch
+
+    def counting(traces, *args):
+        calls.append(len(traces))
+        return batch(traces, *args)
+
+    monkeypatch.setattr(sweep, "detect_batch", counting)
+    report = run(refs)
+    assert calls == [datasets * len(KEYS3)]
+    assert len(report.rows) == datasets * len(KEYS3)
+
+
+def test_a_preset_listed_twice_gets_two_row_groups(refs):
+    twice = sweep.run_preset_sweep(
+        ["open-space-3m", "open-space-3m"], refs, repeats=2, keys=KEYS3, master_seed=7
+    )
+    once = sweep.run_preset_sweep(
+        ["open-space-3m"], refs, repeats=2, keys=KEYS3, master_seed=7
+    )
+    assert len(once.rows) == len(KEYS3)
+    assert twice.rows == once.rows + once.rows
+
+
 @pytest.mark.parametrize("repeats", [9, 10])
 def test_row_means_are_numpy_means_of_each_keys_list(refs, repeats):
     # At 9 and 10 values np.mean's pairwise sum can differ from a left to

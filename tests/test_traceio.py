@@ -356,6 +356,34 @@ def test_reference_roundtrip_keeps_a_low_speed_time_base(tmp_path):
     assert back.entries == slow.entries
 
 
+def rate_set(refs, bit_rate):
+    # Three keys' references with a bit time of 1 / bit_rate.
+    from emanakey.edges import ReferenceSet
+
+    return ReferenceSet(entries={
+        key: replace(refs[key], bit_width=1 / bit_rate) for key in KEYS[:3]
+    })
+
+
+def test_reference_rate_that_reads_back_exactly_round_trips(tmp_path, refs):
+    # 12.03 Mb/s: a whole rate whose width 1 / rate is not a round number.
+    rated = rate_set(refs, 12.03e6)
+    path = tmp_path / "rated.emrf"
+    write_reference_set(rated, path)
+    back = read_reference_set(path)
+    assert back.bit_width == rated.bit_width
+    assert back.entries == rated.entries
+
+
+@pytest.mark.parametrize("bit_rate", [12_000_001.2, 0.4, 2.0**33])
+def test_reference_rate_the_header_cannot_hold_is_rejected(tmp_path, refs, bit_rate):
+    # Not a whole rate, one that rounds to 0, and one past the u32.
+    path = tmp_path / "rated.emrf"
+    with pytest.raises(ValueError, match=r"b/s is not a whole rate in \[1, 2\*\*32\)"):
+        write_reference_set(rate_set(refs, bit_rate), path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("method", ["analytic", "pipeline"])
 def test_reference_file_bytes_are_pinned(tmp_path, method):
     path = tmp_path / "refs.emrf"
