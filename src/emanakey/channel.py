@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from importlib import resources
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -185,9 +186,18 @@ class EmanationTrace:
             raise ValueError(f"trace samples must be 1-D, got shape {samples.shape}")
         if not np.isfinite(samples).all():
             raise ValueError("trace samples must be finite")
+        if isinstance(self.sample_rate, (bool, np.bool_)):
+            raise TypeError(f"sample rate must be a number, got {self.sample_rate!r}")
         if not 0 < self.sample_rate < math.inf:  # NaN compares false
             raise ValueError(f"sample rate must be finite and > 0, got {self.sample_rate!r}")
         object.__setattr__(self, "samples", samples)
+        for name in ("seed", "repeat"):  # JSON metadata holds Python ints only
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise TypeError(f"{name} must be an integer or None, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmanationTrace):

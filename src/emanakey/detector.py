@@ -305,42 +305,25 @@ def _analytic_filter(
     return nfft, _read_only(np.fft.rfft(h, nfft) * weights)
 
 
-class _Workspace:
-    """One thread's chunk buffers at one FFT size, reused chunk after chunk.
-
-    A 32-row chunk needs about 4 MB of temporaries. Blocks that large go
-    back to the OS when freed, so fresh ones would be faulted in again on
-    every chunk. Each buffer holds rows x nfft cells, so any trace length
-    that maps to this FFT size fits; the envelope's rows are n + 1 wide. A
-    thread keeps a workspace between calls only if each buffer has at most
-    _KEPT_CELLS cells.
-    """
-
-    def __init__(self, rows: int, nfft: int):
-        self.nfft = nfft
-        self.padded = np.empty((rows, nfft))  # input rows, zero-padded
-        self.spectrum = np.empty((rows, nfft), dtype=complex)
-        self.envelope = np.empty(rows * nfft)
-
-
 _local = threading.local()
 
 
-def _workspace(rows: int, nfft: int) -> _Workspace:
-    """A workspace with at least ``rows`` rows of FFT size ``nfft``.
+def _workspace(cells: int) -> np.ndarray:
+    """A float64 buffer of at least ``cells`` cells for one chunk.
 
-    This thread's kept workspace serves the chunk if it fits; it is
-    replaced when the FFT size changes or a larger chunk arrives. A chunk
-    above _KEPT_CELLS gets a workspace of its own, freed with the call,
-    and the kept one stays.
+    A 32-row chunk needs about 2.6 MB of temporaries. Blocks that large go
+    back to the OS when freed, so fresh ones would be faulted in again on
+    every chunk. This thread's kept buffer serves any chunk it fits, at
+    any FFT size, and a larger chunk replaces it; a chunk above _KEPT_CELLS
+    gets a buffer freed with the call, and the kept one stays.
     """
-    ws = getattr(_local, "workspace", None)
-    if ws is not None and ws.nfft == nfft and ws.padded.shape[0] >= rows:
-        return ws
-    ws = _Workspace(rows, nfft)
-    if rows * nfft <= _KEPT_CELLS:
-        _local.workspace = ws
-    return ws
+    buffer = getattr(_local, "workspace", None)
+    if buffer is not None and buffer.size >= cells:
+        return buffer
+    buffer = np.empty(cells)
+    if cells <= _KEPT_CELLS:
+        _local.workspace = buffer
+    return buffer
 
 
 def _band_envelope(
@@ -354,9 +337,11 @@ def _band_envelope(
     amplitude_envelope(bandpass(x)) in tests/oracle.py; each row gets the
     bits a chunk of one row gets. Returns a (rows, n + 1) block that holds
     the envelope in its first n columns and NaN in the last, for
-    _peak_rows, and a (rows, n) scratch array, both views into a workspace
-    that this thread's next call may overwrite; the scratch is the padded
-    input, dead once transformed.
+    _peak_rows, and a (rows, n) scratch array, both views into a buffer
+    that this thread's next call may overwrite. The buffer holds the padded
+    input rows, then their complex spectra; the block is written over the
+    transformed input and the scratch over the spectra once the envelope
+    has been read out of them.
     """
     if sample_rate <= 2 * cfg.band_high:
         raise SampleRateError(
@@ -364,13 +349,14 @@ def _band_envelope(
         )
     b, n = len(rows), len(rows[0])
     nfft, h_spec = _analytic_filter(n, sample_rate, cfg.band_low, cfg.band_high)
-    ws = _workspace(b, nfft)
+    cells = b * nfft
+    buffer = _workspace(3 * cells)
     # Zero-padded float64 rows: the bits rfft(x, nfft) pads x to.
-    x = ws.padded[:b]
+    x = buffer[:cells].reshape(b, nfft)
     for padded, samples in zip(x, rows):
         padded[:n] = samples
     x[:, n:] = 0.0  # an earlier chunk may have been longer
-    spectrum = ws.spectrum[:b]
+    spectrum = buffer[cells : 3 * cells].view(complex).reshape(b, nfft)
     half = spectrum[:, : nfft // 2 + 1]
     np.fft.rfft(x, out=half)
     half *= h_spec
@@ -378,10 +364,10 @@ def _band_envelope(
     spectrum[:, nfft // 2 + 1 :] = 0.0
     np.fft.ifft(spectrum, out=spectrum)
     start = (FILTER_TAPS - 1) // 2  # 'same' alignment, group delay removed
-    block = ws.envelope[: b * (n + 1)].reshape(b, n + 1)
+    block = buffer[: b * (n + 1)].reshape(b, n + 1)
     np.abs(spectrum[:, start : start + n], out=block[:, :n])
     block[:, n] = np.nan
-    return block, x[:, :n]
+    return block, buffer[cells : cells + b * n].reshape(b, n)
 
 
 def _normalize(
@@ -601,7 +587,7 @@ def _detect_rows(
     """detect_batch on one chunk of same-length rows sampled at one rate.
 
     The envelope is scaled, floored and searched for peaks in place, in
-    this thread's workspace. Peak spacing and the slot grid both take the
+    this thread's buffer. Peak spacing and the slot grid both take the
     bit width from the references. Returns the rows' Detections columns.
     """
     bit = refs.bit_width
@@ -635,11 +621,11 @@ def _detect_rows(
 # than a single trace.
 _CHUNK_ROWS = 32
 
-# Cells (rows x nfft) of the largest workspace a thread keeps between
-# calls: a full chunk of sweep traces (nfft 3360) fits, at 32 bytes a
-# cell about 4 MB. A larger chunk, such as one 250,000-sample capture,
-# is rare enough to allocate per call and free with it.
-_KEPT_CELLS = _CHUNK_ROWS * 4096
+# Cells of the largest buffer a thread keeps between calls: a full chunk
+# of sweep traces (3 x 32 rows x nfft 3360) fits, at 24 bytes per row x
+# nfft cell about 2.6 MB. A larger chunk, such as one 250,000-sample
+# capture, is rare enough to allocate per call and free with it.
+_KEPT_CELLS = 3 * _CHUNK_ROWS * 4096
 
 
 def _cpus() -> int:

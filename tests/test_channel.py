@@ -391,6 +391,25 @@ def test_trace_rejects_a_sample_rate_that_is_not_finite_and_positive(rate):
         channel.EmanationTrace(np.zeros(8), rate)
 
 
+@pytest.mark.parametrize("rate", [True, np.True_])
+def test_trace_rejects_a_bool_sample_rate(rate):
+    with pytest.raises(TypeError, match="sample rate must be a number"):
+        channel.EmanationTrace(np.zeros(8), rate)
+
+
+@pytest.mark.parametrize("name", ["seed", "repeat"])
+@pytest.mark.parametrize("value", [True, np.True_, 5.0, "5"])
+def test_trace_rejects_a_seed_or_repeat_that_is_no_integer(name, value):
+    with pytest.raises(TypeError, match=f"{name} must be an integer or None"):
+        channel.EmanationTrace(np.zeros(8), FS, **{name: value})
+
+
+def test_trace_stores_numpy_integer_seed_and_repeat_as_int():
+    trace = channel.EmanationTrace(np.zeros(8), FS, seed=np.int64(5), repeat=np.uint8(2))
+    assert (trace.seed, trace.repeat) == (5, 2)
+    assert type(trace.seed) is int and type(trace.repeat) is int
+
+
 @pytest.mark.parametrize("shape", [(2, 3000), (2, 3), (1, 8)])
 def test_trace_rejects_samples_that_are_not_one_dimensional(shape):
     with pytest.raises(ValueError, match=re.escape(f"1-D, got shape {shape}")):

@@ -827,18 +827,30 @@ def test_lone_detect_after_full_chunk_equals_oracle(refs):
 
 
 def test_thread_keeps_no_workspace_above_a_full_sweep_chunk(refs):
-    # A full chunk of sweep traces stays in the thread for the next call;
-    # a 250,000-sample capture's buffers are freed with its call. A call
-    # with one chunk runs it on the calling thread.
+    # A full chunk of sweep traces (nfft 3360) stays in the thread for the
+    # next call; a 250,000-sample capture's buffer is freed with its call.
+    # A call with one chunk runs it on the calling thread.
     from emanakey import detector
 
     same_length = [t for t in _mixed_length_dataset(35) if t.samples.size == 3000]
     detect_batch(same_length[:_CHUNK_ROWS], refs)
     kept = detector._local.workspace
-    assert kept.padded.shape[0] >= _CHUNK_ROWS
-    assert kept.padded.size <= detector._KEPT_CELLS
+    assert 3 * _CHUNK_ROWS * 3360 <= kept.size <= detector._KEPT_CELLS
     detect(_long_trace(), refs)
     assert detector._local.workspace is kept
+
+
+def test_kept_buffer_serves_a_chunk_of_another_fft_size(refs):
+    from emanakey import detector
+
+    traces = _mixed_length_dataset(36)
+    same_length = [t for t in traces if t.samples.size == 3000]
+    detect_batch(same_length[:_CHUNK_ROWS], refs)
+    kept = detector._local.workspace
+    short = EmanationTrace(samples=traces[0].samples[:1500], sample_rate=FS)
+    [got] = detect_batch([short], refs)
+    assert detector._local.workspace is kept
+    assert _outcome(got) == _oracle_outcome(short, refs)
 
 
 def test_detect_batch_follows_the_references_bit_rate():

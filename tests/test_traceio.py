@@ -64,6 +64,19 @@ def test_trace_roundtrip_without_metadata(tmp_path):
     assert back.preset is None
 
 
+def test_dataset_from_a_numpy_integer_seed_round_trips(tmp_path):
+    from emanakey import synth_dataset
+
+    keys = list(KEYS[:3])
+    preset = get_preset("office-12m")
+    traces = synth_dataset(keys, preset, repeats=2, master_seed=np.int64(5))
+    back = []
+    for i, trace in enumerate(traces):
+        write_trace(trace, tmp_path / f"{i}.emtr")
+        back.append(read_trace(tmp_path / f"{i}.emtr"))
+    assert back == traces == synth_dataset(keys, preset, repeats=2, master_seed=5)
+
+
 def test_trace_file_regenerates_its_own_samples(tmp_path):
     # The metadata names the noise stream: (seed, key index, repeat).
     from emanakey import apply_channel, synth_dataset
