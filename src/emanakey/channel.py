@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from importlib import resources
 from numbers import Integral
@@ -109,8 +110,11 @@ class ChannelPreset:
         for name in ("name", "description"):
             if not isinstance(getattr(self, name), str):
                 raise TypeError(f"{name} must be a string, got {getattr(self, name)!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))  # JSON holds Python ints only
         numbers = [(name, getattr(self, name)) for name in _PRESET_NUMBERS]
         numbers += [("glitch_amp", value) for value in self.glitch_amp]
         numbers += [("interferers", v) for i in self.interferers for v in i.as_list()]
@@ -284,6 +288,7 @@ def clean_waveform(key: KeyId, sample_rate: float = DEFAULT_SAMPLE_RATE) -> np.n
 
 
 COMB_TONES = 16
+_PLAN_SAMPLES = 1024  # interference tables are planned in whole multiples
 
 
 @functools.lru_cache(maxsize=16)
@@ -327,12 +332,17 @@ def _interference(
     cos(wt + phase) = cos(wt) cos(phase) - sin(wt) sin(phase), so a trace
     costs its phase draw and one product with the interferer's planned
     tables. A single kept tone is one product per sample, which is what
-    the matvec computes, without the cost of a BLAS call.
+    the matvec computes, without the cost of a BLAS call. The tables are
+    planned for n rounded up to a multiple of _PLAN_SAMPLES and sliced,
+    so traces a few samples apart share one plan: each table sample is
+    computed on its own, and its bits do not depend on the length.
     """
-    plan = _interference_plan(interferer, n, sample_rate)
+    planned = -(-n // _PLAN_SAMPLES) * _PLAN_SAMPLES
+    plan = _interference_plan(interferer, planned, sample_rate)
     if plan is None:
         return np.zeros(n)
     tones, keep, amp, cos_t, sin_t = plan
+    cos_t, sin_t = cos_t[:, :n], sin_t[:, :n]
     phases = rng.uniform(0, 2 * np.pi, tones)[keep]
     a, b = amp * np.cos(phases), amp * np.sin(phases)
     if a.size == 1:
@@ -558,23 +568,24 @@ def inject_glitch(
     )
 
 
-def synth_datasets(
+def synth_units(
     keys: list[KeyId],
     presets: list[ChannelPreset],
     repeats: int = 2,
     sample_rate: float = DEFAULT_SAMPLE_RATE,
     master_seed: int | None = None,
-) -> list[list[EmanationTrace]]:
-    """synth_dataset for each preset, one dataset per preset, bit for bit.
+) -> Iterator[list[EmanationTrace]]:
+    """synth_datasets one (repeat, key) at a time: its trace for each preset.
 
-    A (key, repeat)'s stream is default_rng([seed, key index, repeat]),
-    the seed being the master seed or, without one, each preset's own.
-    Presets that agree on the seed and the impairment fields (noise
-    density, interferers, glitch rate and amplitude) draw the same
-    numbers from it, so each (key, repeat) draws once per distinct (seed,
-    fields) and composes onto each preset's own signal scale: a distance
-    ladder draws once per trace, not once per rung. Only one (key,
-    repeat)'s draws are held at a time.
+    Units come repeats outermost, keys in list order, so the i-th unit
+    holds item i of every dataset. A (key, repeat)'s stream is
+    default_rng([seed, key index, repeat]), the seed being the master seed
+    or, without one, each preset's own. Presets that agree on the seed
+    and the impairment fields (noise density, interferers, glitch rate and
+    amplitude) draw the same numbers from it, so each (key, repeat) draws
+    once per distinct (seed, fields) and composes onto each preset's own
+    signal scale: a distance ladder draws once per trace, not once per
+    rung. Only the unit being made is held.
     """
     if not keys:
         raise ValueError("key list must be nonempty")
@@ -584,17 +595,17 @@ def synth_datasets(
     specs = [(seed, *_impairment_spec(p)) for seed, p in zip(seeds, presets)]
     # Each preset draws through the first preset with its spec.
     drawer = [specs.index(spec) for spec in specs]
-    datasets: list[list[EmanationTrace]] = [[] for _ in presets]
     for r in range(repeats):
         for key in keys:
             clean = clean_waveform(key, sample_rate)
             drawn: dict[int, _Impairments] = {}
-            for preset, seed, first, traces in zip(presets, seeds, drawer, datasets):
+            unit = []
+            for preset, seed, first in zip(presets, seeds, drawer):
                 if first not in drawn:
                     drawn[first] = _draw_impairments(
                         preset, clean.size, sample_rate, _stream(seed, key, r)
                     )
-                traces.append(EmanationTrace(
+                unit.append(EmanationTrace(
                     samples=_compose(clean, preset, drawn[first], sample_rate),
                     sample_rate=sample_rate,
                     ground_truth=key,
@@ -602,7 +613,20 @@ def synth_datasets(
                     seed=seed,
                     repeat=r,
                 ))
-    return datasets
+            yield unit
+
+
+def synth_datasets(
+    keys: list[KeyId],
+    presets: list[ChannelPreset],
+    repeats: int = 2,
+    sample_rate: float = DEFAULT_SAMPLE_RATE,
+    master_seed: int | None = None,
+) -> list[list[EmanationTrace]]:
+    """synth_dataset for each preset, one dataset per preset, bit for bit:
+    synth_units' traces gathered by preset."""
+    units = synth_units(keys, presets, repeats, sample_rate, master_seed)
+    return [list(dataset) for dataset in zip(*units)]
 
 
 def synth_dataset(

@@ -18,13 +18,19 @@ import numpy as np
 
 from . import __version__
 from .bits import int_from_bits
-from .channel import DEFAULT_SAMPLE_RATE, PRESET_LIMITS, get_preset, synth_dataset
+from .channel import DEFAULT_SAMPLE_RATE, PRESET_LIMITS, get_preset, synth_units
 from .detector import DEFAULT_CONFIG, DetectorConfig, detect_batch
 from .edges import build_reference_set, edges_analytic, min_pairwise_distance
 from .errors import EmanakeyError, NoSignalError
 from .frames import build_keystroke_transaction
 from .keys import KEYS, hid_report_for_key, key_by_label
-from .sweep import bench_detect, run_glitch_sweep, run_noise_sweep, run_preset_sweep
+from .sweep import (
+    _BLOCK_TRACES,
+    bench_detect,
+    run_glitch_sweep,
+    run_noise_sweep,
+    run_preset_sweep,
+)
 from .traceio import (
     read_reference_set,
     read_trace,
@@ -151,18 +157,19 @@ def cmd_synth(args) -> int:
     preset = get_preset(args.preset)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    traces = synth_dataset(
+    # Each trace is written as it is made, so no more than one is held.
+    units = synth_units(
         keys,
-        preset,
+        [preset],
         repeats=args.repeats,
         sample_rate=args.sample_rate,
         master_seed=args.seed,
     )
-    for i, trace in enumerate(traces):
+    for i, (trace,) in enumerate(units):
         repeat, key = divmod(i, len(keys))
         name = f"{key:03d}_{_safe(trace.ground_truth.label)}_r{repeat}.emtr"
         write_trace(trace, out_dir / name)
-    print(f"wrote {len(traces)} traces to {out_dir}")
+    print(f"wrote {args.repeats * len(keys)} traces to {out_dir}")
     return EXIT_OK
 
 
@@ -191,24 +198,28 @@ def cmd_detect(args) -> int:
     else:
         paths = [Path(args.trace)]
 
-    traces = [read_trace(path) for path in paths]
     correct = scored = 0
     rc = EXIT_OK
-    for path, trace, result in zip(paths, traces, detect_batch(traces, refs, cfg)):
-        truth = trace.ground_truth.label if trace.ground_truth else "?"
-        if isinstance(result, NoSignalError):
-            print(f"{path.name}: NO-SIGNAL ({result})")
-            rc = EXIT_NO_SIGNAL
-            continue
-        tie = " tie" if result.tie else ""
-        print(
-            f"{path.name}: {result.key.label} score={result.score:.4f} "
-            f"runner-up={result.runner_up.label}@{result.runner_up_score:.4f} "
-            f"offset={result.alignment_offset}{tie} truth={truth}"
-        )
-        if trace.ground_truth is not None:
-            scored += 1
-            correct += result.key == trace.ground_truth
+    # Files are read and detected a sweep block at a time, so memory stays
+    # flat however many the directory holds.
+    for start in range(0, len(paths), _BLOCK_TRACES):
+        block = paths[start : start + _BLOCK_TRACES]
+        traces = [read_trace(path) for path in block]
+        for path, trace, result in zip(block, traces, detect_batch(traces, refs, cfg)):
+            truth = trace.ground_truth.label if trace.ground_truth else "?"
+            if isinstance(result, NoSignalError):
+                print(f"{path.name}: NO-SIGNAL ({result})")
+                rc = EXIT_NO_SIGNAL
+                continue
+            tie = " tie" if result.tie else ""
+            print(
+                f"{path.name}: {result.key.label} score={result.score:.4f} "
+                f"runner-up={result.runner_up.label}@{result.runner_up_score:.4f} "
+                f"offset={result.alignment_offset}{tie} truth={truth}"
+            )
+            if trace.ground_truth is not None:
+                scored += 1
+                correct += result.key == trace.ground_truth
     if scored > 1:
         print(f"summary: {correct}/{scored} correct ({correct / scored:.1%})")
     return rc

@@ -18,16 +18,16 @@ to trace scaling.
 detect_batch is the one implementation: it runs same-length traces as
 rows of a matrix, and detect is detect_batch on one trace. Every row gets
 the bits a lone trace gets. Each stage runs once per chunk of rows: one
-FFT pair for the envelope, one local-maxima pass over all rows (NaN
-between rows keeps peaks apart), and one stacked matmul that scores every
-anchor at every offset, since an anchor's offsets are one slot vector
-shifted by whole slots. A batch's results are one Detections record of
-per-trace columns; indexing it builds a trace's DetectionResult or
-NoSignalError, and no per-trace object is made until then. A call with
-more than one chunk runs them on a pool of worker threads, one per CPU
-the process may use, built on the first such call; a call with one
-chunk, such as detect, runs it on the calling thread. The heavy steps
-(FFT, partition, BLAS) release the interpreter lock.
+FFT pair per eight-row slice for the envelope, one local-maxima pass over
+all rows (NaN between rows keeps peaks apart), and one stacked matmul
+that scores every anchor at every offset, since an anchor's offsets are
+one slot vector shifted by whole slots. A batch's results are one
+Detections record of per-trace columns; indexing it builds a trace's
+DetectionResult or NoSignalError, and no per-trace object is made until
+then. A call with more than one chunk runs them on a pool of worker
+threads, one per CPU the process may use, built on the first such call;
+a call with one chunk, such as detect, runs it on the calling thread.
+The heavy steps (FFT, partition, BLAS) release the interpreter lock.
 
 The filter design, FFT size and peak finder come from emanakey.dsp, numpy
 ports of the SciPy routines that give the same bits; the package imports
@@ -311,7 +311,7 @@ _local = threading.local()
 def _workspace(cells: int) -> np.ndarray:
     """A float64 buffer of at least ``cells`` cells for one chunk.
 
-    A 32-row chunk needs about 2.6 MB of temporaries. Blocks that large go
+    A 32-row chunk needs about 1.3 MB of temporaries. Blocks that large go
     back to the OS when freed, so fresh ones would be faulted in again on
     every chunk. This thread's kept buffer serves any chunk it fits, at
     any FFT size, and a larger chunk replaces it; a chunk above _KEPT_CELLS
@@ -326,10 +326,16 @@ def _workspace(cells: int) -> np.ndarray:
     return buffer
 
 
+# Rows per FFT slice: the complex spectra of a slice are the one scratch
+# a chunk's envelope and scale pass through.
+_SLICE_ROWS = 8
+
+
 def _band_envelope(
     rows: Sequence[np.ndarray], sample_rate: float, cfg: DetectorConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fused bandpass + envelope of same-length rows: one rfft, one ifft.
+    """Fused bandpass + envelope of same-length rows: one rfft, one ifft
+    per slice of _SLICE_ROWS rows.
 
     Peaks are taken on the envelope, one smooth lobe per edge burst; the
     raw carrier's |x| maxima sit on a half-period comb that noise can hop.
@@ -337,11 +343,10 @@ def _band_envelope(
     amplitude_envelope(bandpass(x)) in tests/oracle.py; each row gets the
     bits a chunk of one row gets. Returns a (rows, n + 1) block that holds
     the envelope in its first n columns and NaN in the last, for
-    _peak_rows, and a (rows, n) scratch array, both views into a buffer
-    that this thread's next call may overwrite. The buffer holds the padded
-    input rows, then their complex spectra; the block is written over the
-    transformed input and the scratch over the spectra once the envelope
-    has been read out of them.
+    _peak_rows, and a (slice rows, n) scratch for _normalize, both views
+    into a buffer that this thread's next call may overwrite. The buffer
+    holds the padded input rows, then one slice's complex spectra; each
+    slice's envelope is written over input rows already transformed.
     """
     if sample_rate <= 2 * cfg.band_high:
         raise SampleRateError(
@@ -349,25 +354,31 @@ def _band_envelope(
         )
     b, n = len(rows), len(rows[0])
     nfft, h_spec = _analytic_filter(n, sample_rate, cfg.band_low, cfg.band_high)
+    step = min(b, _SLICE_ROWS)
     cells = b * nfft
-    buffer = _workspace(3 * cells)
+    buffer = _workspace(cells + 2 * step * nfft)
     # Zero-padded float64 rows: the bits rfft(x, nfft) pads x to.
     x = buffer[:cells].reshape(b, nfft)
     for padded, samples in zip(x, rows):
         padded[:n] = samples
     x[:, n:] = 0.0  # an earlier chunk may have been longer
-    spectrum = buffer[cells : 3 * cells].view(complex).reshape(b, nfft)
-    half = spectrum[:, : nfft // 2 + 1]
-    np.fft.rfft(x, out=half)
-    half *= h_spec
-    # The zeroed negative half makes the ifft the analytic signal.
-    spectrum[:, nfft // 2 + 1 :] = 0.0
-    np.fft.ifft(spectrum, out=spectrum)
+    spectra = buffer[cells : cells + 2 * step * nfft].view(complex).reshape(step, nfft)
     start = (FILTER_TAPS - 1) // 2  # 'same' alignment, group delay removed
+    # Row r of the block ends at (r + 1)(n + 1) <= (r + 1) nfft, so a
+    # slice's envelope lands on input rows its own rfft has read.
     block = buffer[: b * (n + 1)].reshape(b, n + 1)
-    np.abs(spectrum[:, start : start + n], out=block[:, :n])
+    for lo in range(0, b, step):
+        spectrum = spectra[: min(step, b - lo)]
+        half = spectrum[:, : nfft // 2 + 1]
+        np.fft.rfft(x[lo : lo + step], out=half)
+        half *= h_spec
+        # The zeroed negative half makes the ifft the analytic signal.
+        spectrum[:, nfft // 2 + 1 :] = 0.0
+        np.fft.ifft(spectrum, out=spectrum)
+        np.abs(spectrum[:, start : start + n], out=block[lo : lo + step, :n])
     block[:, n] = np.nan
-    return block, buffer[cells : cells + b * n].reshape(b, n)
+    scratch = buffer[cells : cells + step * n].reshape(step, n)
+    return block, scratch
 
 
 def _normalize(
@@ -377,14 +388,21 @@ def _normalize(
 
     The chunk path runs it on envelopes, which are >= 0 and need none.
     Returns the rows with no scale (all-zero or empty), which become zeros
-    instead of raising. ``scratch``, shaped like x, takes the partitioned
-    |x|; by default a fresh array does.
+    instead of raising. ``scratch``, (slice rows, n) for a (rows, n) x,
+    takes the partitioned |x| of one slice of rows at a time; by default
+    a fresh array takes all of it.
     """
     if x.shape[-1] == 0:
         return np.ones(x.shape[:-1], dtype=bool)
-    s_max = _percentile_rows(
-        np.abs(x, out=scratch), 100.0 * (1.0 - cfg.skip_fraction)
-    )
+    q = 100.0 * (1.0 - cfg.skip_fraction)
+    if scratch is None:
+        s_max = _percentile_rows(np.abs(x), q)
+    else:
+        s_max = np.empty((len(x), 1))
+        step = len(scratch)
+        for lo in range(0, len(x), step):
+            rows = x[lo : lo + step]
+            s_max[lo : lo + step] = _percentile_rows(np.abs(rows, out=scratch[: len(rows)]), q)
     dead = s_max <= 0.0
     x *= np.divide(AMPLITUDE, s_max, out=np.zeros_like(s_max), where=~dead)
     np.minimum(x, AMPLITUDE, out=x)
@@ -622,10 +640,11 @@ def _detect_rows(
 _CHUNK_ROWS = 32
 
 # Cells of the largest buffer a thread keeps between calls: a full chunk
-# of sweep traces (3 x 32 rows x nfft 3360) fits, at 24 bytes per row x
-# nfft cell about 2.6 MB. A larger chunk, such as one 250,000-sample
-# capture, is rare enough to allocate per call and free with it.
-_KEPT_CELLS = 3 * _CHUNK_ROWS * 4096
+# of sweep traces (32 input rows and 8 complex spectrum rows at nfft
+# 3360) fits, at 8 bytes per cell about 1.3 MB. A larger chunk, such as
+# one 250,000-sample capture, is rare enough to allocate per call and
+# free with it.
+_KEPT_CELLS = (_CHUNK_ROWS + 2 * _SLICE_ROWS) * 4096
 
 
 def _cpus() -> int:

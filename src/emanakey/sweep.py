@@ -8,6 +8,7 @@ detections (no-signal) count as incorrect with zero score and margin.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import replace
 
 import numpy as np
@@ -15,13 +16,14 @@ import numpy as np
 from .channel import (
     DEFAULT_SAMPLE_RATE,
     ChannelPreset,
+    EmanationTrace,
     clean_waveform,
     get_preset,
     inject_glitch,
     synth_dataset,
-    synth_datasets,
+    synth_units,
 )
-from .detector import DEFAULT_CONFIG, DetectorConfig, detect, detect_batch
+from .detector import _CHUNK_ROWS, DEFAULT_CONFIG, DetectorConfig, detect, detect_batch
 from .edges import ReferenceSet
 from .errors import NoSignalError
 from .keys import KEYS, KeyId
@@ -31,28 +33,62 @@ NOISE_BASE_PRESET = "open-space-3.8m"  # the accuracy knee
 BENCH_PRESET = "open-space-3m"
 
 
-def _report(
-    kind: str, own: dict, datasets: list[tuple[str, ChannelPreset, list]],
-    refs: ReferenceSet, repeats: int, cfg: DetectorConfig, keys,
-    master_seed: int | None,
-) -> SweepReport:
-    """Detect every (label, preset, traces) dataset and report them all.
+# Traces of one (length, rate) held before they are detected: sixteen
+# chunks, enough to keep every chunk worker busy. Each detect_batch call
+# pays about 0.65 ms of worker wake-up; 64-trace blocks made ten calls
+# per sweeps round and ran it 1.08x as long.
+_BLOCK_TRACES = 16 * _CHUNK_ROWS
 
-    One detect_batch call gives the chunk workers the whole sweep to share
-    out. Rows come one per (dataset, key), in dataset order with keys in
-    index order inside each; a dataset listed twice gets two row groups.
+
+def _report(
+    kind: str, own: dict, datasets: list[tuple[str, ChannelPreset]],
+    units: Iterable[list[EmanationTrace]], refs: ReferenceSet, repeats: int,
+    cfg: DetectorConfig, keys, master_seed: int | None,
+) -> SweepReport:
+    """Detect every (label, preset) dataset's traces and report them all.
+
+    Unit u holds trace u of each dataset, as synth_units makes them. The
+    traces wait in one bucket per (length, rate), and a bucket that
+    reaches _BLOCK_TRACES is detected in one detect_batch call, so memory
+    stays flat however many repeats a sweep has. The leftovers of every
+    bucket share one last call, whose chunks the workers share out. A
+    row's result does not depend on its chunk, so no byte of the report
+    depends on the blocks. Rows come one per (dataset, key), in dataset
+    order with keys in index order inside each; a dataset listed twice
+    gets two row groups.
     """
-    traces = [trace for _, _, dataset in datasets for trace in dataset]
-    detections = detect_batch(traces, refs, cfg)
-    dataset = np.repeat(np.arange(len(datasets)), [len(d) for _, _, d in datasets])
-    index = np.array([trace.ground_truth.index for trace in traces])
-    # Each trace's winning key index. A no-signal trace's position -1 picks
+    per_dataset = repeats * len(keys)
+    size = len(datasets) * per_dataset
+    # Each trace's winning key index, score and margin, at its position in
+    # the datasets laid end to end. A no-signal trace's position -1 picks
     # the appended -1, which no key has, and its scores are 0.
-    keys_in_order = detections.refs.keys_in_order()
-    winner = np.array([key.index for key in keys_in_order] + [-1])[detections.key]
+    key_index = np.array([key.index for key in refs.keys_in_order()] + [-1])
+    winner = np.empty(size, dtype=int)
+    score, margin = np.empty(size), np.empty(size)
+
+    def run(positions: list[int], traces: list[EmanationTrace]) -> None:
+        detections = detect_batch(traces, refs, cfg)
+        winner[positions] = key_index[detections.key]
+        score[positions] = detections.score
+        margin[positions] = detections.margin
+
+    buckets: dict[tuple[int, float], tuple[list[int], list[EmanationTrace]]] = {}
+    for u, unit in enumerate(units):
+        for d, trace in enumerate(unit):
+            shape = (trace.samples.size, trace.sample_rate)
+            positions, traces = buckets.setdefault(shape, ([], []))
+            positions.append(d * per_dataset + u)
+            traces.append(trace)
+            if len(traces) == _BLOCK_TRACES:
+                run(*buckets.pop(shape))
+    run(
+        [p for positions, _ in buckets.values() for p in positions],
+        [t for _, traces in buckets.values() for t in traces],
+    )
+    dataset = np.repeat(np.arange(len(datasets)), per_dataset)
+    index = np.tile([key.index for key in keys], len(datasets) * repeats)
     correct = winner == index
-    score, margin = detections.score, detections.margin
-    # Each (dataset, key)'s traces in their order within the list.
+    # Each (dataset, key)'s traces in their order within the dataset.
     order = np.lexsort((index, dataset))
     # A row starts wherever the dataset or the key changes.
     ds, ix = dataset[order], index[order]
@@ -72,12 +108,12 @@ def _report(
             margin[block].mean(axis=1).tolist(),
         )
         for row, first, ok, mean_score, mean_margin in means:
-            label, preset, _ = datasets[dataset[first]]
+            label, preset = datasets[dataset[first]]
             rows[row] = SweepRow(
                 preset=label,
                 gain_db=preset.gain_db,
                 noise_density=preset.noise_density,
-                key=traces[first].ground_truth.label,
+                key=keys[first % len(keys)].label,
                 repeats=count,
                 correct=ok,
                 mean_score=mean_score,
@@ -104,16 +140,16 @@ def run_preset_sweep(
 ) -> SweepReport:
     """Accuracy over a ladder of named presets (or preset file paths).
 
-    The datasets come from one synth_datasets call: rungs that share a
-    seed and impairment fields (the open-space ladder under a master
-    seed) draw each (key, repeat)'s noise, interferers and glitches once,
-    and differ only in signal scale.
+    The datasets come from one synth_units pass: rungs that share a seed
+    and impairment fields (the open-space ladder under a master seed)
+    draw each (key, repeat)'s noise, interferers and glitches once, and
+    differ only in signal scale.
     """
     presets = [get_preset(name) for name in preset_names]
-    datasets = synth_datasets(list(keys), presets, repeats=repeats, master_seed=master_seed)
     return _report(
         "preset", {"presets": ",".join(preset_names)},
-        [(preset.name, preset, traces) for preset, traces in zip(presets, datasets)],
+        [(preset.name, preset) for preset in presets],
+        synth_units(list(keys), presets, repeats=repeats, master_seed=master_seed),
         refs, repeats, cfg, keys, master_seed,
     )
 
@@ -135,10 +171,10 @@ def run_noise_sweep(
         replace(base, noise_density=density, name=f"noise-{density:.3g}")
         for density in noise_densities
     ]
-    datasets = synth_datasets(list(keys), presets, repeats=repeats, master_seed=master_seed)
     return _report(
         "noise", {"base_preset": NOISE_BASE_PRESET, "gain_db": base.gain_db},
-        [(preset.name, preset, traces) for preset, traces in zip(presets, datasets)],
+        [(preset.name, preset) for preset in presets],
+        synth_units(list(keys), presets, repeats=repeats, master_seed=master_seed),
         refs, repeats, cfg, keys, master_seed,
     )
 
@@ -163,23 +199,25 @@ def run_glitch_sweep(
         key: float(np.abs(clean_waveform(key)).max()) * base.signal_scale
         for key in dict.fromkeys(keys)
     }
-    # inject_glitch copies the samples, so every count shares one dataset.
-    traces = synth_dataset(list(keys), base, repeats=repeats, master_seed=master_seed)
-    datasets = [
-        (f"glitch-{count}", base, [
+    # inject_glitch copies the samples, so every count shares one base trace.
+    units = (
+        [
             inject_glitch(
                 t, count, seed=(i * 7919 + count),
                 base_amplitude=signal_peak[t.ground_truth],
             )
-            for i, t in enumerate(traces)
-        ])
-        for count in glitch_counts
-    ]
+            for count in glitch_counts
+        ]
+        for i, (t,) in enumerate(
+            synth_units(list(keys), [base], repeats=repeats, master_seed=master_seed)
+        )
+    )
     own = {
         "base_preset": base_preset,
         "counts": ",".join(str(c) for c in glitch_counts),
     }
-    return _report("glitch", own, datasets, refs, repeats, cfg, keys, master_seed)
+    datasets = [(f"glitch-{count}", base) for count in glitch_counts]
+    return _report("glitch", own, datasets, units, refs, repeats, cfg, keys, master_seed)
 
 
 def bench_detect(

@@ -322,6 +322,35 @@ def _matvec_interference(interferer, n, sample_rate, rng):
     return (amp * np.cos(phases[keep])) @ cos_t - (amp * np.sin(phases[keep])) @ sin_t
 
 
+def test_trace_lengths_a_few_samples_apart_share_one_interference_plan():
+    # A key's trace is 3,000 or 3,021 samples long: both round up to one
+    # plan per interferer, and the slice each takes equals the tables
+    # built for its own length.
+    rate = 250e6
+    lengths = sorted({clean_waveform(key, rate).size for key in KEYS})
+    assert lengths == [3000, 3021]
+    interferers = _builtin_interferers()
+    assert any(i.bandwidth_hz > 0 for i in interferers)
+    channel._interference_plan.cache_clear()
+    for interferer in interferers:
+        for n in lengths:
+            _interference(interferer, n, rate, np.random.default_rng(1))
+    info = channel._interference_plan.cache_info()
+    assert (info.misses, info.hits) == (len(interferers), len(interferers))
+    for interferer in interferers:
+        plan = channel._interference_plan(interferer, 3072, rate)
+        if plan is None:  # a tone above the Nyquist guard has no tables
+            continue
+        tones, keep, _, cos_t, sin_t = plan
+        half = interferer.bandwidth_hz / 2
+        freqs = np.linspace(interferer.center_hz - half, interferer.center_hz + half, tones)
+        for n in lengths:
+            arg = 2 * np.pi * freqs[keep][:, None] * (np.arange(n) / rate)
+            assert np.array_equal(cos_t[:, :n], np.cos(arg))
+            assert np.array_equal(sin_t[:, :n], np.sin(arg))
+    assert channel._interference_plan.cache_info().misses == len(interferers)
+
+
 @pytest.mark.parametrize("rate", [100e6, 250e6, 500e6])
 def test_single_tone_interference_is_the_matvec_bit_for_bit(rate):
     guard = 0.48 * rate
@@ -618,6 +647,23 @@ def test_preset_validation():
     ):
         with pytest.raises(ValueError):
             ChannelPreset(**{"name": "bad", field: value})
+
+
+def test_preset_seed_takes_any_integer_but_a_bool():
+    # A NumPy integer seed is stored as the int it equals; anything else
+    # that is no integer is a TypeError, as for EmanationTrace's seed.
+    base = get_preset("office-12m")
+    preset = replace(base, seed=np.int64(3))
+    assert type(preset.seed) is int and preset == replace(base, seed=3)
+    assert type(preset.to_dict()["seed"]) is int
+    clean = clean_waveform(KEYS[0])
+    assert apply_channel(clean, preset) == apply_channel(clean, replace(base, seed=3))
+    for seed in (True, np.bool_(True), 2.0, np.float64(2.0), "2", None):
+        with pytest.raises(TypeError):
+            replace(base, seed=seed)
+    for seed in (-1, np.int64(-1)):
+        with pytest.raises(ValueError):
+            replace(base, seed=seed)
 
 
 def test_preset_at_every_limit_synthesizes_finite_samples():

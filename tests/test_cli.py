@@ -258,6 +258,43 @@ def test_detect_dir_equals_per_file_detect(tmp_path, capsys, monkeypatch):
     assert rc == max(code for code, _, _ in per_file) == 4
 
 
+def test_synth_files_and_detect_dir_lines_do_not_depend_on_blocks(
+    tmp_path, capsys, monkeypatch
+):
+    import emanakey
+    from emanakey import cli
+
+    traces = tmp_path / "traces"
+    rc, _, _ = run(
+        ["synth", "--keys", "a,Q,ENTER,5", "--preset", "office-12m",
+         "--repeats", "2", "--seed", "31", "--out-dir", str(traces)],
+        capsys,
+    )
+    assert rc == 0
+    # synth writes each trace as it is made, under its (key, repeat) name.
+    keys = [emanakey.key_by_label(label) for label in ("a", "Q", "ENTER", "5")]
+    made = emanakey.synth_dataset(
+        keys, emanakey.get_preset("office-12m"), repeats=2, master_seed=31
+    )
+    assert {f.name: read_trace(f) for f in traces.glob("*.emtr")} == {
+        f"{i % 4:03d}_{t.ground_truth.label}_r{i // 4}.emtr": t for i, t in enumerate(made)
+    }
+
+    whole = run(["detect", "--trace-dir", str(traces)], capsys)
+    batches = []
+    detect_batch = cli.detect_batch
+
+    def recording_detect_batch(batch, *args):
+        batches.append(len(batch))
+        return detect_batch(batch, *args)
+
+    monkeypatch.setattr(cli, "detect_batch", recording_detect_batch)
+    monkeypatch.setattr(cli, "_BLOCK_TRACES", 3)
+    assert run(["detect", "--trace-dir", str(traces)], capsys) == whole
+    assert batches == [3, 3, 2]
+    assert "summary: " in whole[1]
+
+
 @pytest.mark.parametrize(
     "flag, spec",
     [

@@ -828,14 +828,16 @@ def test_lone_detect_after_full_chunk_equals_oracle(refs):
 
 def test_thread_keeps_no_workspace_above_a_full_sweep_chunk(refs):
     # A full chunk of sweep traces (nfft 3360) stays in the thread for the
-    # next call; a 250,000-sample capture's buffer is freed with its call.
-    # A call with one chunk runs it on the calling thread.
+    # next call: its input rows and one slice's complex spectra. A
+    # 250,000-sample capture's buffer is freed with its call. A call with
+    # one chunk runs it on the calling thread.
     from emanakey import detector
 
     same_length = [t for t in _mixed_length_dataset(35) if t.samples.size == 3000]
     detect_batch(same_length[:_CHUNK_ROWS], refs)
     kept = detector._local.workspace
-    assert 3 * _CHUNK_ROWS * 3360 <= kept.size <= detector._KEPT_CELLS
+    cells = (_CHUNK_ROWS + 2 * detector._SLICE_ROWS) * 3360
+    assert cells <= kept.size <= detector._KEPT_CELLS < 3 * _CHUNK_ROWS * 3360
     detect(_long_trace(), refs)
     assert detector._local.workspace is kept
 

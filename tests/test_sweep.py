@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,16 +15,18 @@ KEYS5 = KEYS[:5]
 
 
 def test_glitch_sweep_synthesizes_its_dataset_once(refs, monkeypatch):
-    calls = []
-    synth = sweep.synth_dataset
+    # Every count adds its bursts to one base trace per (key, repeat): one
+    # noise stream per base trace, not one per count.
+    streams = []
+    stream = channel._stream
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return synth(*args, **kwargs)
+    def counting(*args):
+        streams.append(args)
+        return stream(*args)
 
-    monkeypatch.setattr(sweep, "synth_dataset", counting)
+    monkeypatch.setattr(channel, "_stream", counting)
     report = sweep.run_glitch_sweep([0, 1, 2], refs, repeats=1, keys=KEYS3, master_seed=9)
-    assert len(calls) == 1
+    assert streams == [(9, key, 0) for key in KEYS3]
     per_count = [
         row
         for count in (0, 1, 2)
@@ -212,3 +215,65 @@ def test_sweep_report_bytes_are_pinned(refs, tmp_path, run, csv_digest, json_dig
         write_report(report, path, fmt=fmt)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, fmt
         assert read_report(path).rows == report.rows
+
+
+# --- sweeps detect in blocks -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda refs: sweep.run_preset_sweep(LADDER, refs, repeats=2, keys=KEYS5, master_seed=5),
+        lambda refs: sweep.run_noise_sweep(
+            [2e-9, 8e-9, 2e-8], refs, repeats=2, keys=KEYS5, master_seed=5),
+        lambda refs: sweep.run_glitch_sweep(
+            [0, 2, 8], refs, repeats=2, keys=KEYS5, master_seed=5),
+        lambda refs: sweep.run_preset_sweep(
+            ["open-space-3m", "open-space-3m"], refs, repeats=2, keys=KEYS5, master_seed=5),
+    ],
+    ids=["ladder", "noise", "glitch", "preset-twice"],
+)
+def test_report_bytes_do_not_depend_on_the_block_size(refs, tmp_path, monkeypatch, run):
+    def report_bytes():
+        path = tmp_path / "report.csv"
+        report = run(refs)
+        write_report(report, path, fmt="csv")
+        return path.read_bytes(), sum(row.repeats for row in report.rows)
+
+    default, total = report_bytes()
+    batch = sweep.detect_batch
+    for block in (1, 7, 64):
+        calls = []
+
+        def counting(traces, *args):
+            calls.append(len(traces))
+            return batch(traces, *args)
+
+        monkeypatch.setattr(sweep, "_BLOCK_TRACES", block)
+        monkeypatch.setattr(sweep, "detect_batch", counting)
+        assert report_bytes() == (default, total), block
+        # Full blocks, then one call for both lengths' leftovers.
+        assert all(size == block for size in calls[:-1]), block
+        assert calls[-1] < block * 2 and sum(calls) == total, block
+        assert len(calls) > 1 or block == 64
+
+
+def test_sweep_memory_stays_flat_as_repeats_grow(refs, monkeypatch):
+    # 28 more repeats of 10 traces hold 3.4 MB of float32 samples alone;
+    # detected a block at a time, the sweep's traced peak may grow by no
+    # more than 0.5 MB.
+    monkeypatch.setattr(sweep, "_BLOCK_TRACES", 16)
+
+    def peak(repeats):
+        tracemalloc.start()
+        try:
+            sweep.run_noise_sweep(
+                [2e-9, 2e-8], refs, repeats=repeats, keys=KEYS5, master_seed=3
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4)  # the chunk workers' kept buffers are made here
+    few, many = peak(4), peak(32)
+    assert many < few + 500_000, (few, many)
