@@ -24,13 +24,7 @@ from .edges import build_reference_set, edges_analytic, min_pairwise_distance
 from .errors import EmanakeyError, NoSignalError
 from .frames import build_keystroke_transaction
 from .keys import KEYS, hid_report_for_key, key_by_label
-from .sweep import (
-    _BLOCK_TRACES,
-    bench_detect,
-    run_glitch_sweep,
-    run_noise_sweep,
-    run_preset_sweep,
-)
+from .sweep import bench_detect, run_glitch_sweep, run_noise_sweep, run_preset_sweep
 from .traceio import (
     read_reference_set,
     read_trace,
@@ -198,28 +192,33 @@ def cmd_detect(args) -> int:
     else:
         paths = [Path(args.trace)]
 
+    truths = []
+
+    def read_each():
+        for path in paths:
+            trace = read_trace(path)
+            truths.append(trace.ground_truth)
+            yield trace
+
+    # detect_batch takes each file as it is read and holds no more than a
+    # block of samples, however many files the directory holds.
+    results = detect_batch(read_each(), refs, cfg)
     correct = scored = 0
     rc = EXIT_OK
-    # Files are read and detected a sweep block at a time, so memory stays
-    # flat however many the directory holds.
-    for start in range(0, len(paths), _BLOCK_TRACES):
-        block = paths[start : start + _BLOCK_TRACES]
-        traces = [read_trace(path) for path in block]
-        for path, trace, result in zip(block, traces, detect_batch(traces, refs, cfg)):
-            truth = trace.ground_truth.label if trace.ground_truth else "?"
-            if isinstance(result, NoSignalError):
-                print(f"{path.name}: NO-SIGNAL ({result})")
-                rc = EXIT_NO_SIGNAL
-                continue
-            tie = " tie" if result.tie else ""
-            print(
-                f"{path.name}: {result.key.label} score={result.score:.4f} "
-                f"runner-up={result.runner_up.label}@{result.runner_up_score:.4f} "
-                f"offset={result.alignment_offset}{tie} truth={truth}"
-            )
-            if trace.ground_truth is not None:
-                scored += 1
-                correct += result.key == trace.ground_truth
+    for path, truth, result in zip(paths, truths, results):
+        if isinstance(result, NoSignalError):
+            print(f"{path.name}: NO-SIGNAL ({result})")
+            rc = EXIT_NO_SIGNAL
+            continue
+        tie = " tie" if result.tie else ""
+        print(
+            f"{path.name}: {result.key.label} score={result.score:.4f} "
+            f"runner-up={result.runner_up.label}@{result.runner_up_score:.4f} "
+            f"offset={result.alignment_offset}{tie} truth={truth.label if truth else '?'}"
+        )
+        if truth is not None:
+            scored += 1
+            correct += result.key == truth
     if scored > 1:
         print(f"summary: {correct}/{scored} correct ({correct / scored:.1%})")
     return rc

@@ -16,18 +16,21 @@ after normalization is relative to A, so detection results are invariant
 to trace scaling.
 
 detect_batch is the one implementation: it runs same-length traces as
-rows of a matrix, and detect is detect_batch on one trace. Every row gets
-the bits a lone trace gets. Each stage runs once per chunk of rows: one
-FFT pair per eight-row slice for the envelope, one local-maxima pass over
-all rows (NaN between rows keeps peaks apart), and one stacked matmul
-that scores every anchor at every offset, since an anchor's offsets are
-one slot vector shifted by whole slots. A batch's results are one
-Detections record of per-trace columns; indexing it builds a trace's
-DetectionResult or NoSignalError, and no per-trace object is made until
-then. A call with more than one chunk runs them on a pool of worker
-threads, one per CPU the process may use, built on the first such call;
-a call with one chunk, such as detect, runs it on the calling thread.
-The heavy steps (FFT, partition, BLAS) release the interpreter lock.
+rows of a matrix, and detect is detect_batch on one trace. It takes any
+iterable of traces and owns the batching: buckets by (length, rate),
+blocks of sixteen chunks detected as they fill, and chunks of rows.
+Every row gets the bits a lone trace gets. Each stage runs once per
+chunk of rows: one FFT pair per eight-row slice for the envelope, one
+local-maxima pass over all rows (NaN between rows keeps peaks apart),
+and one stacked matmul that scores every anchor at every offset, since
+an anchor's offsets are one slot vector shifted by whole slots. A
+batch's results are one Detections record of per-trace columns; indexing
+it builds a trace's DetectionResult or NoSignalError, and no per-trace
+object is made until then. A call with more than one chunk runs them on
+a pool of worker threads, one per CPU the process may use, built on the
+first such call; a call with one chunk, such as detect, runs it on the
+calling thread. The heavy steps (FFT, partition, BLAS) release the
+interpreter lock.
 
 The filter design, FFT size and peak finder come from emanakey.dsp, numpy
 ports of the SciPy routines that give the same bits; the package imports
@@ -40,7 +43,7 @@ import json
 import math
 import os
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import cache, lru_cache
@@ -646,6 +649,12 @@ _CHUNK_ROWS = 32
 # free with it.
 _KEPT_CELLS = (_CHUNK_ROWS + 2 * _SLICE_ROWS) * 4096
 
+# Traces of one (length, rate) held before they are detected: sixteen
+# chunks, enough to keep every chunk worker busy. Each block pays about
+# 0.65 ms of worker wake-up; 64-trace blocks made ten per sweeps round and
+# ran it 1.08x as long.
+_BLOCK_TRACES = 16 * _CHUNK_ROWS
+
 
 def _cpus() -> int:
     """CPUs this process may run on."""
@@ -671,25 +680,48 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
+def _detect_blocks(blocks: list, refs: ReferenceSet, cfg: DetectorConfig) -> tuple:
+    """Detect (rate, positions, rows) blocks in chunks of _CHUNK_ROWS rows.
+
+    Returns the rows' positions and columns. Joining the chunks' columns
+    keeps one set of arrays per call: a sweep holds its record, not one
+    set per chunk.
+    """
+    chunks = [
+        (rate, rows[lo : lo + _CHUNK_ROWS])
+        for rate, _, rows in blocks
+        for lo in range(0, len(rows), _CHUNK_ROWS)
+    ]
+    # One chunk, or one CPU, runs on the calling thread and starts none.
+    chunk_map = _pool().map if len(chunks) > 1 and _cpus() > 1 else map
+    parts = list(chunk_map(lambda chunk: _detect_rows(chunk[1], chunk[0], refs, cfg), chunks))
+    positions = np.concatenate([held for _, held, _ in blocks])
+    if len(parts) == 1:
+        return positions, parts[0]
+    return positions, {name: np.concatenate([part[name] for part in parts]) for name in _COLUMNS}
+
+
 def detect_batch(
-    traces: list[EmanationTrace],
+    traces: Iterable[EmanationTrace],
     refs: ReferenceSet,
     cfg: DetectorConfig = DEFAULT_CONFIG,
 ) -> Detections:
-    """detect() for many traces: one row per trace, in order.
+    """detect() for many traces: one row per trace, in input order.
 
-    Traces are grouped by (length, sample rate), since both fix the FFT
-    size, and each group is run in chunks of _CHUNK_ROWS rows: one
-    rfft/ifft pair, one row-wise partition for the scale and one
-    local-maxima pass per chunk, and one matmul per row scoring its anchor
-    grids against every reference. Chunks run on the worker pool when
-    there are several; a lone trace takes the same path as a chunk of one
-    row, on the calling thread. Each chunk returns its rows' columns and
-    the record gathers them, so no per-trace object is made. A trace with
-    no usable signal gets a no-signal row and does not fail the batch. An
-    error that does, such as SampleRateError, is raised from the first
-    failing chunk in order. Raises ConfigError when cfg.offset_search is
-    not below the references' slot width.
+    ``traces`` may be any iterable, a generator included. Traces wait in
+    one bucket per (length, sample rate), since both fix the FFT size. A
+    bucket that reaches _BLOCK_TRACES is detected at once and its samples
+    released, so memory stays flat however many traces come; the
+    leftovers of every bucket are detected together at the end. A block
+    runs in chunks of _CHUNK_ROWS rows, on the worker pool when there are
+    several; a lone trace takes the path of a chunk of one row, on the
+    calling thread. Each chunk returns its rows' columns and the record
+    gathers them, so no per-trace object is made, and a row's result does
+    not depend on its block or chunk. A trace with no usable signal gets
+    a no-signal row and does not fail the batch. An error that does, such
+    as SampleRateError, is raised from the first failing chunk. Raises
+    ConfigError when cfg.offset_search is not below the references' slot
+    width.
     """
     width = refs.slot_matrix.shape[1]
     if cfg.offset_search >= width:
@@ -697,28 +729,26 @@ def detect_batch(
             "offset_search (offset_search_slots in a config file) is "
             f"{cfg.offset_search}; it must be below the references' slot width, {width}"
         )
-    groups: dict[tuple[int, float], list[int]] = {}
+    buckets: dict[tuple[int, float], tuple[list[int], list[np.ndarray]]] = {}
+    parts = []
     for i, trace in enumerate(traces):
-        groups.setdefault((trace.samples.size, trace.sample_rate), []).append(i)
-    chunks = [
-        (members[start : start + _CHUNK_ROWS], sample_rate)
-        for (_, sample_rate), members in groups.items()
-        for start in range(0, len(members), _CHUNK_ROWS)
-    ]
-
-    def run(chunk: tuple[list[int], float]) -> dict[str, np.ndarray]:
-        members, sample_rate = chunk
-        return _detect_rows([traces[i].samples for i in members], sample_rate, refs, cfg)
-
-    # One chunk, or one CPU, runs on the calling thread and starts none.
-    chunk_map = _pool().map if len(chunks) > 1 and _cpus() > 1 else map
-    parts = list(chunk_map(run, chunks))
-    if len(parts) == 1:  # every trace, in order; a gather ran detect 1.07x as long
-        (columns,) = parts
+        shape = (trace.samples.size, trace.sample_rate)
+        positions, rows = buckets.setdefault(shape, ([], []))
+        positions.append(i)
+        rows.append(trace.samples)
+        if len(rows) == _BLOCK_TRACES:
+            del buckets[shape]
+            parts.append(_detect_blocks([(shape[1], positions, rows)], refs, cfg))
+    in_order = not parts and len(buckets) == 1  # one bucket, never flushed
+    if buckets:
+        leftovers = [(rate, *held) for (_, rate), held in buckets.items()]
+        parts.append(_detect_blocks(leftovers, refs, cfg))
+    if in_order:  # a gather ran detect 1.07x as long
+        ((_, columns),) = parts
     else:
-        columns = _no_signal_columns(len(traces), width)
-        for (members, _), part in zip(chunks, parts):
-            rows = np.array(members)
+        columns = _no_signal_columns(sum(rows.size for rows, _ in parts), width)
+        while parts:  # each part is freed once gathered
+            rows, part = parts.pop()
             for name, column in part.items():
                 columns[name][rows] = column
     return Detections(refs=refs, min_peaks=cfg.min_peaks, **columns)

@@ -23,7 +23,7 @@ from .channel import (
     synth_dataset,
     synth_units,
 )
-from .detector import _CHUNK_ROWS, DEFAULT_CONFIG, DetectorConfig, detect, detect_batch
+from .detector import DEFAULT_CONFIG, DetectorConfig, detect, detect_batch
 from .edges import ReferenceSet
 from .errors import NoSignalError
 from .keys import KEYS, KeyId
@@ -31,13 +31,6 @@ from .traceio import SweepReport, SweepRow
 
 NOISE_BASE_PRESET = "open-space-3.8m"  # the accuracy knee
 BENCH_PRESET = "open-space-3m"
-
-
-# Traces of one (length, rate) held before they are detected: sixteen
-# chunks, enough to keep every chunk worker busy. Each detect_batch call
-# pays about 0.65 ms of worker wake-up; 64-trace blocks made ten calls
-# per sweeps round and ran it 1.08x as long.
-_BLOCK_TRACES = 16 * _CHUNK_ROWS
 
 
 def _report(
@@ -48,46 +41,21 @@ def _report(
     """Detect every (label, preset) dataset's traces and report them all.
 
     Unit u holds trace u of each dataset, as synth_units makes them. The
-    traces wait in one bucket per (length, rate), and a bucket that
-    reaches _BLOCK_TRACES is detected in one detect_batch call, so memory
-    stays flat however many repeats a sweep has. The leftovers of every
-    bucket share one last call, whose chunks the workers share out. A
-    row's result does not depend on its chunk, so no byte of the report
-    depends on the blocks. Rows come one per (dataset, key), in dataset
-    order with keys in index order inside each; a dataset listed twice
-    gets two row groups.
+    traces go to one detect_batch call as they are made, in unit order;
+    it owns the buckets and blocks that keep memory flat however many
+    repeats a sweep has, and a row's result does not depend on its block,
+    so no byte of the report depends on them. Rows come one per (dataset,
+    key), in dataset order with keys in index order inside each; a
+    dataset listed twice gets two row groups.
     """
-    per_dataset = repeats * len(keys)
-    size = len(datasets) * per_dataset
-    # Each trace's winning key index, score and margin, at its position in
-    # the datasets laid end to end. A no-signal trace's position -1 picks
-    # the appended -1, which no key has, and its scores are 0.
+    detections = detect_batch((t for unit in units for t in unit), refs, cfg)
+    # Trace t is dataset t % len(datasets) of unit t // len(datasets).
+    dataset = np.tile(np.arange(len(datasets)), repeats * len(keys))
+    index = np.repeat(np.tile([key.index for key in keys], repeats), len(datasets))
+    # A no-signal trace's position -1 picks the appended -1, which no key has.
     key_index = np.array([key.index for key in refs.keys_in_order()] + [-1])
-    winner = np.empty(size, dtype=int)
-    score, margin = np.empty(size), np.empty(size)
-
-    def run(positions: list[int], traces: list[EmanationTrace]) -> None:
-        detections = detect_batch(traces, refs, cfg)
-        winner[positions] = key_index[detections.key]
-        score[positions] = detections.score
-        margin[positions] = detections.margin
-
-    buckets: dict[tuple[int, float], tuple[list[int], list[EmanationTrace]]] = {}
-    for u, unit in enumerate(units):
-        for d, trace in enumerate(unit):
-            shape = (trace.samples.size, trace.sample_rate)
-            positions, traces = buckets.setdefault(shape, ([], []))
-            positions.append(d * per_dataset + u)
-            traces.append(trace)
-            if len(traces) == _BLOCK_TRACES:
-                run(*buckets.pop(shape))
-    run(
-        [p for positions, _ in buckets.values() for p in positions],
-        [t for _, traces in buckets.values() for t in traces],
-    )
-    dataset = np.repeat(np.arange(len(datasets)), per_dataset)
-    index = np.tile([key.index for key in keys], len(datasets) * repeats)
-    correct = winner == index
+    correct = key_index[detections.key] == index
+    score, margin = detections.score, detections.margin
     # Each (dataset, key)'s traces in their order within the dataset.
     order = np.lexsort((index, dataset))
     # A row starts wherever the dataset or the key changes.
@@ -113,7 +81,7 @@ def _report(
                 preset=label,
                 gain_db=preset.gain_db,
                 noise_density=preset.noise_density,
-                key=keys[first % len(keys)].label,
+                key=keys[first // len(datasets) % len(keys)].label,
                 repeats=count,
                 correct=ok,
                 mean_score=mean_score,

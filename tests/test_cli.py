@@ -244,6 +244,7 @@ def test_detect_dir_equals_per_file_detect(tmp_path, capsys, monkeypatch):
     detect_batch = cli.detect_batch
 
     def recording_detect_batch(batch, *args):
+        batch = list(batch)
         batches.append(len(batch))
         return detect_batch(batch, *args)
 
@@ -262,7 +263,7 @@ def test_synth_files_and_detect_dir_lines_do_not_depend_on_blocks(
     tmp_path, capsys, monkeypatch
 ):
     import emanakey
-    from emanakey import cli
+    from emanakey import detector
 
     traces = tmp_path / "traces"
     rc, _, _ = run(
@@ -281,17 +282,18 @@ def test_synth_files_and_detect_dir_lines_do_not_depend_on_blocks(
     }
 
     whole = run(["detect", "--trace-dir", str(traces)], capsys)
-    batches = []
-    detect_batch = cli.detect_batch
+    blocks = []
+    detect_blocks = detector._detect_blocks
 
-    def recording_detect_batch(batch, *args):
-        batches.append(len(batch))
-        return detect_batch(batch, *args)
+    def recording_detect_blocks(held, *args):
+        blocks.append(sum(len(rows) for _, _, rows in held))
+        return detect_blocks(held, *args)
 
-    monkeypatch.setattr(cli, "detect_batch", recording_detect_batch)
-    monkeypatch.setattr(cli, "_BLOCK_TRACES", 3)
+    # All eight traces have one length: two full blocks, then the leftovers.
+    monkeypatch.setattr(detector, "_detect_blocks", recording_detect_blocks)
+    monkeypatch.setattr(detector, "_BLOCK_TRACES", 3)
     assert run(["detect", "--trace-dir", str(traces)], capsys) == whole
-    assert batches == [3, 3, 2]
+    assert blocks == [3, 3, 2]
     assert "summary: " in whole[1]
 
 

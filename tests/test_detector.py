@@ -1115,6 +1115,28 @@ def test_sample_rate_error_from_one_group_propagates_from_the_workers(refs, chun
     ]
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_a_generator_gives_the_lists_record_field_for_field(
+    refs, chunk_workers, monkeypatch, block
+):
+    # Four (length, rate) buckets with no-signal rows among them. Blocks
+    # fill and are detected as the generator yields; every column equals
+    # that of the same list, and that of one dispatch at the default block.
+    traces = _two_rate_dataset()
+    traces[5:5] = _no_signal_traces()
+    traces.append(EmanationTrace(samples=np.zeros(0), sample_rate=FS))
+    whole = detect_batch(traces, refs)
+    assert (whole.reason != 0).sum() >= 4
+    monkeypatch.setattr(chunk_workers, "_BLOCK_TRACES", block)
+    listed = detect_batch(traces, refs)
+    streamed = detect_batch((t for t in traces), refs)
+    for got in (listed, streamed):
+        for name in chunk_workers._COLUMNS:
+            want, have = getattr(whole, name), getattr(got, name)
+            assert have.dtype == want.dtype and have.shape == want.shape, name
+            assert np.array_equal(have, want), name
+
+
 def test_pool_is_built_only_for_a_call_with_several_chunks(
     refs, chunk_workers, monkeypatch
 ):

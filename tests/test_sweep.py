@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from emanakey import channel, sweep
+from emanakey import channel, detector, sweep
 from emanakey.detector import detect_batch
 from emanakey.errors import NoSignalError
 from emanakey.keys import KEYS
@@ -72,6 +72,7 @@ def test_each_sweep_detects_every_dataset_in_one_call(refs, monkeypatch, run, da
     batch = sweep.detect_batch
 
     def counting(traces, *args):
+        traces = list(traces)
         calls.append(len(traces))
         return batch(traces, *args)
 
@@ -241,18 +242,18 @@ def test_report_bytes_do_not_depend_on_the_block_size(refs, tmp_path, monkeypatc
         return path.read_bytes(), sum(row.repeats for row in report.rows)
 
     default, total = report_bytes()
-    batch = sweep.detect_batch
+    detect_blocks = detector._detect_blocks
     for block in (1, 7, 64):
         calls = []
 
-        def counting(traces, *args):
-            calls.append(len(traces))
-            return batch(traces, *args)
+        def counting(blocks, *args):
+            calls.append(sum(len(rows) for _, _, rows in blocks))
+            return detect_blocks(blocks, *args)
 
-        monkeypatch.setattr(sweep, "_BLOCK_TRACES", block)
-        monkeypatch.setattr(sweep, "detect_batch", counting)
+        monkeypatch.setattr(detector, "_BLOCK_TRACES", block)
+        monkeypatch.setattr(detector, "_detect_blocks", counting)
         assert report_bytes() == (default, total), block
-        # Full blocks, then one call for both lengths' leftovers.
+        # Full blocks, then one dispatch for both lengths' leftovers.
         assert all(size == block for size in calls[:-1]), block
         assert calls[-1] < block * 2 and sum(calls) == total, block
         assert len(calls) > 1 or block == 64
@@ -262,7 +263,7 @@ def test_sweep_memory_stays_flat_as_repeats_grow(refs, monkeypatch):
     # 28 more repeats of 10 traces hold 3.4 MB of float32 samples alone;
     # detected a block at a time, the sweep's traced peak may grow by no
     # more than 0.5 MB.
-    monkeypatch.setattr(sweep, "_BLOCK_TRACES", 16)
+    monkeypatch.setattr(detector, "_BLOCK_TRACES", 16)
 
     def peak(repeats):
         tracemalloc.start()
