@@ -575,7 +575,7 @@ def synth_units(
     sample_rate: float = DEFAULT_SAMPLE_RATE,
     master_seed: int | None = None,
 ) -> Iterator[list[EmanationTrace]]:
-    """synth_datasets one (repeat, key) at a time: its trace for each preset.
+    """Labeled traces one (repeat, key) at a time: its trace for each preset.
 
     Units come repeats outermost, keys in list order, so the i-th unit
     holds item i of every dataset. A (key, repeat)'s stream is
@@ -616,19 +616,6 @@ def synth_units(
             yield unit
 
 
-def synth_datasets(
-    keys: list[KeyId],
-    presets: list[ChannelPreset],
-    repeats: int = 2,
-    sample_rate: float = DEFAULT_SAMPLE_RATE,
-    master_seed: int | None = None,
-) -> list[list[EmanationTrace]]:
-    """synth_dataset for each preset, one dataset per preset, bit for bit:
-    synth_units' traces gathered by preset."""
-    units = synth_units(keys, presets, repeats, sample_rate, master_seed)
-    return [list(dataset) for dataset in zip(*units)]
-
-
 def synth_dataset(
     keys: list[KeyId],
     preset: ChannelPreset,
@@ -640,11 +627,11 @@ def synth_dataset(
 
     Each trace owns an RNG stream derived from (master seed, key index,
     repeat), so datasets are reproducible and order-independent; the
-    trace records the master seed and the repeat. It is synth_datasets
-    with one preset: the repeats are outermost, and each trace equals
+    trace records the master seed and the repeat. It is synth_units with
+    one preset: the repeats are outermost, and each trace equals
     apply_channel on the key's clean waveform with stream=(seed, repeat).
     """
-    return synth_datasets(keys, [preset], repeats, sample_rate, master_seed)[0]
+    return [t for (t,) in synth_units(keys, [preset], repeats, sample_rate, master_seed)]
 
 
 # --- preset registry ---------------------------------------------------

@@ -384,28 +384,22 @@ def _band_envelope(
     return block, scratch
 
 
-def _normalize(
-    x: np.ndarray, cfg: DetectorConfig, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def _normalize(x: np.ndarray, cfg: DetectorConfig, scratch: np.ndarray) -> np.ndarray:
     """normalize() along the last axis, in place, but for its lower clip.
 
     The chunk path runs it on envelopes, which are >= 0 and need none.
     Returns the rows with no scale (all-zero or empty), which become zeros
     instead of raising. ``scratch``, (slice rows, n) for a (rows, n) x,
-    takes the partitioned |x| of one slice of rows at a time; by default
-    a fresh array takes all of it.
+    takes the partitioned |x| of one slice of rows at a time.
     """
     if x.shape[-1] == 0:
         return np.ones(x.shape[:-1], dtype=bool)
     q = 100.0 * (1.0 - cfg.skip_fraction)
-    if scratch is None:
-        s_max = _percentile_rows(np.abs(x), q)
-    else:
-        s_max = np.empty((len(x), 1))
-        step = len(scratch)
-        for lo in range(0, len(x), step):
-            rows = x[lo : lo + step]
-            s_max[lo : lo + step] = _percentile_rows(np.abs(rows, out=scratch[: len(rows)]), q)
+    s_max = np.empty((len(x), 1))
+    step = len(scratch)
+    for lo in range(0, len(x), step):
+        rows = x[lo : lo + step]
+        s_max[lo : lo + step] = _percentile_rows(np.abs(rows, out=scratch[: len(rows)]), q)
     dead = s_max <= 0.0
     x *= np.divide(AMPLITUDE, s_max, out=np.zeros_like(s_max), where=~dead)
     np.minimum(x, AMPLITUDE, out=x)
@@ -415,13 +409,14 @@ def _normalize(
 def normalize(
     samples: np.ndarray, cfg: DetectorConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
-    """Scale so the 99th-percentile amplitude maps to A; clip to +/-A.
+    """Scale one trace so its 99th-percentile amplitude maps to A; clip to +/-A.
 
     Skipping the top fraction keeps a lone interference spike from
     deflating the scale; the spike itself is clipped to A.
     """
     normalized = np.array(samples, dtype=np.float64)
-    if _normalize(normalized, cfg).any():
+    row = normalized.reshape(1, -1)  # a view
+    if _normalize(row, cfg, np.empty_like(row)).any():
         raise DegenerateTraceError("all-zero or empty trace cannot be normalized")
     # np.clip's bits, without its call overhead.
     return np.maximum(normalized, -AMPLITUDE, out=normalized)

@@ -223,5 +223,5 @@ def bench_detect(
         "p95_ms": float(np.percentile(arr, 95) * 1e3),
         "max_ms": float(arr.max() * 1e3),
         "budget_ms": 1.0,
-        "within_budget": bool(arr.mean() * 1e3 < 1.0),
+        "within_budget": bool(arr.mean() * 1e3 < 1.0),  # the mean's verdict
     }

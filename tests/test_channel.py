@@ -29,7 +29,7 @@ from emanakey.channel import (
     _interference,
     _robust_max,
     clean_waveform,
-    synth_datasets,
+    synth_units,
 )
 from emanakey.edges import EdgeSeries
 from emanakey.keys import KEYS
@@ -510,7 +510,8 @@ def _mixed_presets():
 def test_synth_datasets_equal_one_dataset_per_preset(master_seed, rate):
     presets = _mixed_presets()
     keys = list(KEYS[::9])
-    datasets = synth_datasets(keys, presets, repeats=2, sample_rate=rate, master_seed=master_seed)
+    units = synth_units(keys, presets, repeats=2, sample_rate=rate, master_seed=master_seed)
+    datasets = [list(traces) for traces in zip(*units)]
     assert len(datasets) == len(presets)
     for preset, traces in zip(presets, datasets):
         seed = preset.seed if master_seed is None else master_seed

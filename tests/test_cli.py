@@ -222,6 +222,32 @@ def test_bench_produces_report(tmp_path, capsys):
     assert stats["mean_ms"] > 0
 
 
+@pytest.mark.parametrize(
+    "mean, slowest, verdict",
+    [(0.3, 0.45, "within"), (0.3, 1.83, "within"), (1.2, 1.5, "OVER")],
+)
+def test_bench_verdict_names_the_mean_and_warns_on_a_slow_max(
+    capsys, monkeypatch, mean, slowest, verdict
+):
+    from emanakey import cli
+
+    stats = {
+        "iterations": 7, "preset": "open-space-3m", "sample_rate": 250e6,
+        "mean_ms": mean, "p50_ms": mean, "p95_ms": mean, "max_ms": slowest,
+        "budget_ms": 1.0, "within_budget": mean < 1.0,
+    }
+    monkeypatch.setattr(cli, "bench_detect", lambda refs, cfg, iterations: stats)
+    rc, stdout, stderr = run(["bench", "--iters", "7"], capsys)
+    assert rc == 0
+    assert stdout.rstrip().endswith(f"the mean is {verdict} the 1 ms polling budget")
+    if slowest > 1.0:
+        assert stderr == (
+            f"warning: the slowest run, {slowest:.3f} ms, is over the 1 ms polling budget\n"
+        )
+    else:
+        assert stderr == ""
+
+
 def test_detect_dir_equals_per_file_detect(tmp_path, capsys, monkeypatch):
     import emanakey
     from emanakey import cli

@@ -134,11 +134,11 @@ def test_rows_compare_keys_not_reference_positions(refs):
     report = sweep.run_preset_sweep(
         ["open-space-3.8m", "office-12m"], odd, repeats=3, keys=keys, master_seed=8
     )
-    datasets = channel.synth_datasets(
+    units = channel.synth_units(
         keys, [channel.get_preset("open-space-3.8m"), channel.get_preset("office-12m")],
         repeats=3, master_seed=8,
     )
-    traces = [t for dataset in datasets for t in dataset]
+    traces = [t for dataset in zip(*units) for t in dataset]
     correct = {}
     for trace, result in zip(traces, detect_batch(traces, odd)):
         ok = not isinstance(result, NoSignalError) and result.key == trace.ground_truth
