@@ -1,11 +1,12 @@
 """Emanation-trace keystroke detector.
 
-Pipeline: bandpass the trace to the 10-18 MHz emission band, take its
-amplitude envelope, normalize to +/-3.3 V using the 99th-percentile
-amplitude (so a lone interference spike cannot distort the scaling), zero
-everything below half amplitude, detect peaks with a two-thirds-bit
-minimum separation, form a binary edge series on a grid anchored at a
-detected peak, and return the reference with the highest slot agreement.
+Pipeline: remove the trace's mean, bandpass it to the 10-18 MHz emission
+band, take its amplitude envelope, normalize to +/-3.3 V using the
+99th-percentile amplitude (so a lone interference spike cannot distort the
+scaling), zero everything below half amplitude, detect peaks with a
+two-thirds-bit minimum separation, form a binary edge series on a grid
+anchored at a detected peak, and return the reference with the highest
+slot agreement.
 
 Alignment has no hardware trigger to lean on, so the slot grid is anchored
 at a detected peak and searched: the first three peaks are tried as anchor
@@ -172,7 +173,7 @@ class DetectionResult:
 _NO_SIGNAL = (
     None,
     "empty trace cannot be normalized",
-    "all-zero trace cannot be normalized",
+    "all-zero or constant trace cannot be normalized",
     "no peaks above the amplitude floor",
     "only {peaks} peaks detected (< {min_peaks}); trace carries no usable signal",
 )
@@ -337,8 +338,8 @@ _SLICE_ROWS = 8
 def _band_envelope(
     rows: Sequence[np.ndarray], sample_rate: float, cfg: DetectorConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fused bandpass + envelope of same-length rows: one rfft, one ifft
-    per slice of _SLICE_ROWS rows.
+    """Fused mean removal, bandpass and envelope of same-length rows: one
+    rfft, one ifft per slice of _SLICE_ROWS rows.
 
     Peaks are taken on the envelope, one smooth lobe per edge burst; the
     raw carrier's |x| maxima sit on a half-period comb that noise can hop.
@@ -365,6 +366,11 @@ def _band_envelope(
     for padded, samples in zip(x, rows):
         padded[:n] = samples
     x[:, n:] = 0.0  # an earlier chunk may have been longer
+    if n:  # each row's mean goes: the filter's low skirt passes DC on
+        # A row's sum in one row-wise reduction has the bits of its own
+        # sum, so each row gets x - x.mean(); a mean per row in the copy
+        # loop cost 2-4x as much per chunk.
+        x[:, :n] -= (np.add.reduce(x[:, :n], axis=1) / n)[:, None]
     spectra = buffer[cells : cells + 2 * step * nfft].view(complex).reshape(step, nfft)
     start = (FILTER_TAPS - 1) // 2  # 'same' alignment, group delay removed
     # Row r of the block ends at (r + 1)(n + 1) <= (r + 1) nfft, so a

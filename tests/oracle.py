@@ -233,6 +233,8 @@ def bandpass(samples: np.ndarray, sample_rate: float, cfg=DEFAULT_CONFIG) -> np.
         )
     taps = _bandpass_taps(sample_rate, cfg.band_low, cfg.band_high)
     x = np.asarray(samples, dtype=np.float64)
+    if x.size:  # each row's mean is removed first, as the detector does
+        x = x - x.mean()
     return sp_signal.fftconvolve(x, taps, mode="same")
 
 
@@ -245,6 +247,8 @@ def amplitude_envelope(filtered: np.ndarray) -> np.ndarray:
 def _band_envelope_oracle(x: np.ndarray, sample_rate: float, cfg) -> np.ndarray:
     taps = _bandpass_taps(sample_rate, cfg.band_low, cfg.band_high)
     n = x.size
+    if n:
+        x = x - x.mean()
     nfft = next_fast_len(n + taps.size - 1)
     spec = np.fft.rfft(x, nfft) * np.fft.rfft(taps, nfft)
     full = np.zeros(nfft, dtype=np.complex128)
@@ -263,7 +267,7 @@ def detect_oracle(trace, refs: ReferenceSet, cfg=DEFAULT_CONFIG) -> DetectionRes
     envelope = _band_envelope_oracle(x, trace.sample_rate, cfg)
     s_max = np.percentile(np.abs(envelope), 100.0 * (1.0 - cfg.skip_fraction))
     if s_max <= 0.0:
-        raise NoSignalError("all-zero trace cannot be normalized")
+        raise NoSignalError("all-zero or constant trace cannot be normalized")
     a = AMPLITUDE
     normalized = np.clip(envelope * (a / s_max), -a, a)
     y = np.abs(normalized)

@@ -628,7 +628,7 @@ def test_detect_batch_row_with_fewer_peaks_than_anchors(refs, offset_search):
 
 def _no_signal_traces():
     """An all-zero trace, one whose only rise is at its end (no local maximum
-    above the floor), and a constant one (two peaks)."""
+    above the floor), and a constant one (all zero once its mean is removed)."""
     step = (np.arange(3000) > 2990).astype(float)
     return [
         EmanationTrace(samples=x, sample_rate=FS)
@@ -670,9 +670,9 @@ def test_every_field_of_every_row_equals_the_oracle(refs, name):
         assert edges.origin == got.anchor[i] - got.offset[i] * refs.bit_width
         assert not got.slots[i, len(edges) :].any()
     assert messages[-3:] == [
-        "all-zero trace cannot be normalized",
+        "all-zero or constant trace cannot be normalized",
         "no peaks above the amplitude floor",
-        "only 2 peaks detected (< 10); trace carries no usable signal",
+        "all-zero or constant trace cannot be normalized",
     ]
 
 
@@ -702,7 +702,10 @@ def test_first_close_maxima_trace_imports_no_masked_arrays(refs):
 
     import emanakey
 
-    trace = synth_dataset([KEYS[4]], get_preset("open-space-3.8m"), repeats=1, master_seed=3)
+    # KEYS[17] ('h') at master seed 3 on the knee has two maxima closer
+    # than the minimum separation. KEYS[4] had them before the detector
+    # removed each row's mean.
+    trace = synth_dataset([KEYS[17]], get_preset("open-space-3.8m"), repeats=1, master_seed=3)
     maxima = sp_signal.find_peaks(_floored_envelope(trace[0]))[0]
     min_sep = round(CFG.min_peak_separation * refs.bit_width * FS)
     assert (np.diff(maxima) < min_sep).any()
@@ -712,7 +715,7 @@ def test_first_close_maxima_trace_imports_no_masked_arrays(refs):
         "from emanakey import channel, detector, edges",
         "from emanakey.keys import KEYS",
         "refs = edges.build_reference_set()",
-        "trace = channel.synth_dataset([KEYS[4]], channel.get_preset('open-space-3.8m'),",
+        "trace = channel.synth_dataset([KEYS[17]], channel.get_preset('open-space-3.8m'),",
         "                              repeats=1, master_seed=3)[0]",
         "detector.detect(trace, refs)",
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))",

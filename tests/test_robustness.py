@@ -116,16 +116,16 @@ def test_scale(refs, preset):
     _assert_holds(refs, _traces(preset, HELD_OUT_SEED), transforms)
 
 
-# --- rows that fail today ----------------------------------------------------
-
-
-@pytest.mark.xfail(strict=True, reason="item 17: a DC offset leaks into the envelope")
 @pytest.mark.parametrize("preset", ["open-space-3m", KNEE, "office-12m"])
 def test_dc_offset(refs, preset):
+    # Item 17: each row's mean is removed before the envelope.
     traces = _traces(preset, DC_SEED)
     rms = np.sqrt(np.mean(np.concatenate([t.samples for t in traces]).astype(float) ** 2))
     transforms = [(f"dc{c}", lambda x, c=c: x + c * rms) for c in (1, 10)]
     _assert_holds(refs, traces, transforms)
+
+
+# --- rows that fail today ----------------------------------------------------
 
 
 @pytest.mark.xfail(strict=True, reason="item 3: two glitch bursts collapse the scale")
