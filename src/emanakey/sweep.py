@@ -42,9 +42,9 @@ def _report(
 
     Unit u holds trace u of each dataset, as synth_units makes them. The
     traces go to one detect_batch call as they are made, in unit order;
-    it owns the buckets and blocks that keep memory flat however many
-    repeats a sweep has, and a row's result does not depend on its block,
-    so no byte of the report depends on them. Rows come one per (dataset,
+    it owns the buckets and blocks that bound the samples held however
+    many repeats a sweep has, and a row's result does not depend on its
+    block, so no byte of the report depends on them. Rows come one per (dataset,
     key), in dataset order with keys in index order inside each; a
     dataset listed twice gets two row groups.
     """
